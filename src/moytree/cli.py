@@ -120,17 +120,16 @@ def _cmd_count(args) -> int:
         if not is_balanced(g):
             print("count requires --root on an unbalanced graph", file=sys.stderr)
             return 1
-        det = balanced_count(g)
-        enum_root = g.vertices[0]
+        root = g.vertices[0]
+    elif not g.has_vertex(args.root):
+        raise ValueError(f"unknown root {args.root!r}")
     else:
-        if not g.has_vertex(args.root):
-            raise ValueError(f"unknown root {args.root!r}")
-        det = count_by_determinant(g, args.root)
-        enum_root = args.root
+        root = args.root
     if args.method in ("enum", "all"):
-        enum = count_by_enumeration(g, enum_root, force=args.force)
+        enum = count_by_enumeration(g, root, force=args.force)
         print(f"enum={enum}")
     if args.method in ("det", "all"):
+        det = balanced_count(g) if args.root is None else count_by_determinant(g, root)
         print(f"det={det}")
     if args.method == "all":
         agree = enum == det

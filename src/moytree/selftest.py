@@ -37,6 +37,7 @@ from .spanning import (
     count_by_determinant,
     count_by_enumeration,
     enumerate_trees,
+    root_free_count,
     tree_weight,
 )
 
@@ -71,14 +72,16 @@ def check_matrix_tree(seed: int, trials: int = 200) -> CheckResult:
 
 
 def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
-    """Balanced graphs count the same from every root; a deliberately
-    unbalanced instance must not."""
+    """Balanced graphs count the same from every root, and that count is
+    the certified root-free one; a deliberately unbalanced instance must
+    depend on the root.  This all-roots sweep is the oracle for the
+    two-determinant root_free_count."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):
         g = random_balanced_graph(rng, max_vertices=6, max_weight=5)
         counts = {count_by_determinant(g, r) for r in g.vertices}
-        if len(counts) == 1:
+        if counts == {root_free_count(g)}:
             passed += 1
     lopsided = DirectedMultigraph(
         ["a", "b", "c"],

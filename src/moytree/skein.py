@@ -17,8 +17,10 @@ satisfy
   N(G) = -1/(i*j) * N(G1) + 1/(i*(i+j)) * N(G2)      for i <= j,
   N(G) = -1/(i*j) * N(G1) + 1/(j*(i+j)) * N(G2)      for j < i,
 
-verified in exact rational arithmetic.  G1 with i = j can disconnect the
-graph; its count is then 0 (all cofactors vanish), which the identity
+verified in exact rational arithmetic.  Each count is the certified
+``spanning.root_free_count``: one reduced determinant checked against
+det(L + J).  G1 with i = j can disconnect the graph; its count is then 0
+(all cofactors vanish, and so does det(L + J)), which the identity
 absorbs, so counts here never require connectivity.
 """
 
@@ -35,6 +37,7 @@ from .spanning import (
     balanced_count,
     count_by_determinant,
     count_by_enumeration,
+    root_free_count,
 )
 
 
@@ -113,21 +116,6 @@ def resolve_G2(g: DirectedMultigraph, pattern: CrossingPattern) -> DirectedMulti
     return DirectedMultigraph(list(g.vertices) + [v1, v2], edges)
 
 
-def _root_free_count(g: DirectedMultigraph) -> int:
-    """Determinant count, checked to agree over every root.
-
-    Balance makes all cofactors equal even when the graph is
-    disconnected (every count is then 0), so no connectivity demand.
-    """
-    if not is_balanced(g):
-        raise ValueError("graph is not balanced")
-    counts = {v: count_by_determinant(g, v) for v in g.vertices}
-    values = set(counts.values())
-    if len(values) > 1:
-        raise RuntimeError(f"root-dependent counts on a balanced graph: {counts}")
-    return values.pop()
-
-
 class SkeinCheck(NamedTuple):
     holds: bool
     n: int
@@ -152,9 +140,9 @@ def verify_skein_t1(g: DirectedMultigraph, pattern: CrossingPattern) -> SkeinChe
         raise ValueError(f"weights must be positive; offending edges: {bad}")
     ei, ej = _pattern_edges(g, pattern)
     i, j = ei.weight, ej.weight
-    n = _root_free_count(g)
-    n1 = _root_free_count(resolve_G1(g, pattern))
-    n2 = _root_free_count(resolve_G2(g, pattern))
+    n = root_free_count(g)
+    n1 = root_free_count(resolve_G1(g, pattern))
+    n2 = root_free_count(resolve_G2(g, pattern))
     if i <= j:
         rhs = Fraction(-n1, i * j) + Fraction(n2, i * (i + j))
     else:

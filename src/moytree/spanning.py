@@ -11,7 +11,9 @@ The determinant uses fraction-free Bareiss elimination over Python ints,
 so results are exact for any integer weights, including zero and
 negative ones.  For balanced graphs every row and column of the
 Laplacian sums to zero, hence all cofactors agree and N is independent
-of the root.
+of the root.  The root-free count therefore takes one reduced
+determinant and certifies it with one more, det(L + J), instead of
+comparing all n roots (see ``root_free_count``).
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ def det_bareiss(rows) -> int:
     """Exact determinant of a square integer matrix; 1 for the 0x0 case.
 
     Fraction-free Bareiss elimination: every division is exact, so the
-    whole computation stays in arbitrary-precision ints.
+    whole computation stays in arbitrary-precision ints.  Each step
+    eliminates the first column of the active block and keeps only the
+    trailing entries of the rows below the pivot.
     """
     m = [list(row) for row in rows]
     n = len(m)
@@ -212,40 +216,46 @@ def det_bareiss(rows) -> int:
         return 1
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+    while len(m) > 1:
+        if m[0][0] == 0:
+            for i in range(1, len(m)):
+                if m[i][0] != 0:
+                    m[0], m[i] = m[i], m[0]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        pivot_row = m[0]
+        pivot = pivot_row[0]
+        tail = pivot_row[1:]
+        rest = []
+        for row in m[1:]:
+            x = row[0]
+            if x:
+                rest.append(
+                    [(pivot * y - x * p) // prev for y, p in zip(row[1:], tail)]
+                )
+            else:
+                # nothing to eliminate: the step only rescales the row
+                rest.append([pivot * y // prev for y in row[1:]])
+        m = rest
+        prev = pivot
+    return sign * m[0][0]
 
 
-def _reduced(lap: Laplacian, index: int) -> list[list[int]]:
+def _minor(lap: Laplacian, i: int, j: int) -> list[list[int]]:
+    """The Laplacian with row i and column j deleted."""
     return [
-        [x for j, x in enumerate(row) if j != index]
-        for i, row in enumerate(lap.rows)
-        if i != index
+        [x for jj, x in enumerate(row) if jj != j]
+        for ii, row in enumerate(lap.rows)
+        if ii != i
     ]
 
 
 def cofactor(lap: Laplacian, i: int, j: int) -> int:
     """Signed (i, j) cofactor of the Laplacian."""
-    minor = [
-        [x for jj, x in enumerate(row) if jj != j]
-        for ii, row in enumerate(lap.rows)
-        if ii != i
-    ]
     sign = -1 if (i + j) % 2 else 1
-    return sign * det_bareiss(minor)
+    return sign * det_bareiss(_minor(lap, i, j))
 
 
 def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
@@ -259,22 +269,53 @@ def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
         raise ValueError(f"unknown root {root!r}")
     lap = laplacian(g)
     index = lap.order.index(root)
-    return det_bareiss(_reduced(lap, index))
+    return det_bareiss(_minor(lap, index, index))
+
+
+def root_free_count(g: DirectedMultigraph) -> int:
+    """The root-independent N of a balanced graph, from two determinants.
+
+    N is the reduced determinant at the first vertex in canonical order.
+    A second determinant certifies it.  Every column of the Laplacian L
+    sums to zero, so det L = 0 and, by the matrix determinant lemma,
+
+        det(L + J) = det L + 1^T adj(L) 1 = sum of all n^2 cofactors,
+
+    where J is the all-ones matrix.  Zero column sums also make the
+    (i, j) cofactor independent of i; balance adds zero row sums, which
+    make it independent of j, so all n^2 cofactors equal N and
+    det(L + J) = n^2 * N.  Without balance the sum is n times the sum of
+    the n root counts, so the equation says that N is their mean, which
+    is not automatic: for a -> b, b -> c, a -> c it reads det(L + J) = 6
+    against n^2 * N(r) = 18, 0, 0 over the roots.  A wrong value from
+    either determinant breaks the equation too, unless the two errors
+    happen to match.  A mismatch raises RuntimeError.
+
+    Connectivity is not required: a disconnected balanced graph has
+    every cofactor 0 and det(L + J) = 0, so it counts 0.
+    """
+    if not is_balanced(g):
+        raise ValueError("graph is not balanced")
+    lap = laplacian(g)
+    n = len(lap.order)
+    count = det_bareiss(_minor(lap, 0, 0))
+    total = det_bareiss([[x + 1 for x in row] for row in lap.rows])
+    if total != n * n * count:
+        raise RuntimeError(
+            "root-dependent counts on a balanced graph: "
+            f"N({lap.order[0]})={count} but det(L+J)={total} != {n * n}*N"
+        )
+    return count
 
 
 def balanced_count(g: DirectedMultigraph) -> int:
     """The root-independent N of a connected balanced graph.
 
-    Computes the determinant count at every root and insists they agree;
-    balance forces all Laplacian cofactors to be equal, so a disagreement
-    can only be a bug.
+    Refuses a disconnected graph, then returns the certified
+    ``root_free_count`` (which refuses an unbalanced one): one reduced
+    determinant checked against det(L + J), two determinants whatever
+    the size.
     """
-    if not is_balanced(g):
-        raise ValueError("graph is not balanced")
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    counts = {v: count_by_determinant(g, v) for v in g.vertices}
-    values = set(counts.values())
-    if len(values) > 1:
-        raise RuntimeError(f"root-dependent counts on a balanced graph: {counts}")
-    return values.pop()
+    return root_free_count(g)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from moytree import spanning
 from moytree.cli import main
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
@@ -67,6 +68,26 @@ def test_count_single_method_and_root(capsys, lens_file):
     assert (code, out) == (0, "det=20\n")
     code, out, _ = run(capsys, ["count", lens_file, "--root", "v2", "--method", "enum"])
     assert (code, out) == (0, "enum=20\n")
+
+
+def test_count_by_enumeration_takes_no_determinant(capsys, lens_file, monkeypatch):
+    def refuse(rows):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(spanning, "det_bareiss", refuse)
+    code, out, _ = run(capsys, ["count", lens_file, "--method", "enum"])
+    assert (code, out) == (0, "enum=20\n")
+
+
+def test_count_certificate_mismatch_is_identity_violation(
+    capsys, lens_file, monkeypatch
+):
+    real = spanning.det_bareiss
+    # corrupt the 2x2 reduced determinant, not the 3x3 det(L + J)
+    monkeypatch.setattr(spanning, "det_bareiss", lambda rows: real(rows) + (len(rows) == 2))
+    code, out, err = run(capsys, ["count", lens_file, "--method", "det"])
+    assert (code, out) == (1, "")
+    assert err.startswith("identity violated: root-dependent counts")
 
 
 def test_count_unbalanced_needs_root(capsys, unbalanced_file):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from moytree import spanning
 from moytree.generate import random_balanced_graph, random_connected_digraph
-from moytree.graph import DirectedMultigraph, Edge, is_balanced
+from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
+from moytree.skein import CrossingPattern, resolve_G1
 from moytree.spanning import (
     EnumerationLimitError,
     SpanningTree,
@@ -18,6 +21,7 @@ from moytree.spanning import (
     det_bareiss,
     enumerate_trees,
     laplacian,
+    root_free_count,
     tree_weight,
 )
 from oracles import det_by_permutations, spanning_tree_sets, weighted_tree_count
@@ -219,6 +223,47 @@ def test_det_bareiss_matches_permutation_oracle():
         assert det_bareiss(rows) == det_by_permutations(rows)
 
 
+def _elimination_events(rows) -> tuple[int, int]:
+    """(rows with elimination factor 0, pivot swaps after step 0) met by
+    Gaussian elimination over Fractions with first-nonzero pivoting.
+    Bareiss entries are Gaussian entries times nonzero leading minors,
+    so det_bareiss meets the same zero pattern and the same swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    zero_factors = late_swaps = 0
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            below = [i for i in range(k + 1, len(m)) if m[i][k] != 0]
+            if not below:
+                break
+            m[k], m[below[0]] = m[below[0]], m[k]
+            late_swaps += k > 0
+        for i in range(k + 1, len(m)):
+            factor = m[i][k] / m[k][k]
+            zero_factors += factor == 0
+            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return zero_factors, late_swaps
+
+
+def test_det_bareiss_sparse_matches_permutation_oracle():
+    # [[1,1,0],[1,1,1],[0,1,1]]: row 2 has factor 0 at step 0; step 1
+    # finds a zero pivot, swaps, and the row swapped down has factor 0
+    assert _elimination_events([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == (2, 1)
+    assert det_bareiss([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+    rng = random.Random(36)
+    zero_factors = late_swaps = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        rows = [
+            [rng.randint(-4, 4) if rng.random() < 0.3 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert det_bareiss(rows) == det_by_permutations(rows)
+        zeros, swaps = _elimination_events(rows)
+        zero_factors += zeros
+        late_swaps += swaps
+    assert zero_factors > 0 and late_swaps > 0
+
+
 def test_det_bareiss_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         det_bareiss([[1, 2]])
@@ -270,6 +315,64 @@ def test_balanced_counts_are_root_independent():
         counts = {count_by_determinant(g, r) for r in g.vertices}
         assert len(counts) == 1
         assert balanced_count(g) == counts.pop()
+
+
+# -- the det(L + J) certificate ------------------------------------------------
+
+
+def _det_plus_ones(g) -> int:
+    """det(L + J) by the permutation oracle."""
+    return det_by_permutations([[x + 1 for x in row] for row in laplacian(g).rows])
+
+
+def _disconnected_smoothing() -> DirectedMultigraph:
+    # G1 of a 2-cycle's two edges, i = j: no bridge edge, two components
+    host = DirectedMultigraph(["a", "b"], [Edge("ab", "a", "b", 3), Edge("ba", "b", "a", 3)])
+    return resolve_G1(host, CrossingPattern(edge_i="ab", edge_j="ba"))
+
+
+def test_certificate_is_n_squared_times_the_count_on_balanced_graphs():
+    rng = random.Random(37)
+    graphs = [random_balanced_graph(rng, max_vertices=6) for _ in range(40)]
+    split = _disconnected_smoothing()
+    assert is_balanced(split) and not is_connected(split)
+    graphs.append(split)
+    for g in graphs:
+        n = len(g.vertices)
+        count = weighted_tree_count(g, g.vertices[0])
+        assert _det_plus_ones(g) == n * n * count
+        assert root_free_count(g) == count
+    assert root_free_count(split) == 0
+    with pytest.raises(ValueError, match="not connected"):
+        balanced_count(split)
+
+
+def test_certificate_separates_the_roots_of_an_unbalanced_graph(make_graph):
+    g = make_graph(
+        ["a", "b", "c"],
+        [("ab", "a", "b", 1), ("bc", "b", "c", 1), ("ac", "a", "c", 1)],
+    )
+    assert _det_plus_ones(g) == 6
+    assert [9 * count_by_determinant(g, r) for r in g.vertices] == [18, 0, 0]
+    with pytest.raises(ValueError, match="not balanced"):
+        root_free_count(g)
+
+
+@pytest.mark.parametrize("corrupted_call", [0, 1])
+def test_certificate_rejects_a_corrupted_determinant(
+    monkeypatch, lens_graph, corrupted_call
+):
+    real = spanning.det_bareiss
+    calls = []
+
+    def off_by_one(rows):
+        calls.append(len(rows))
+        return real(rows) + (len(calls) - 1 == corrupted_call)
+
+    monkeypatch.setattr(spanning, "det_bareiss", off_by_one)
+    with pytest.raises(RuntimeError, match="root-dependent counts on a balanced graph"):
+        balanced_count(lens_graph)
+    assert calls == [2, 3]
 
 
 def test_unbalanced_counts_can_depend_on_the_root(make_graph):
