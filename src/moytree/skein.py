@@ -19,9 +19,10 @@ satisfy
 
 verified in exact rational arithmetic.  Each count is the certified
 ``spanning.root_free_count``: one reduced determinant checked against
-det(L + J).  G1 with i = j can disconnect the graph; its count is then 0
-(all cofactors vanish, and so does det(L + J)), which the identity
-absorbs, so counts here never require connectivity.
+a second that sums the counts over all roots.  G1 with i = j can
+disconnect the graph; its count is then 0 (all cofactors vanish, and so
+does the sum), which the identity absorbs, so counts here never require
+connectivity.
 """
 
 from __future__ import annotations

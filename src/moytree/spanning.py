@@ -12,8 +12,9 @@ so results are exact for any integer weights, including zero and
 negative ones.  For balanced graphs every row and column of the
 Laplacian sums to zero, hence all cofactors agree and N is independent
 of the root.  The root-free count therefore takes one reduced
-determinant and certifies it with one more, det(L + J), instead of
-comparing all n roots (see ``root_free_count``).
+determinant and certifies it with one more, of the Laplacian with 1
+added to every entry of its first row, instead of comparing all n roots
+(see ``root_free_count``).
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def det_bareiss(rows) -> int:
     eliminates the first column of the active block and keeps only the
     trailing entries of the rows below the pivot.
     """
-    m = [list(row) for row in rows]
+    m = list(rows)
     n = len(m)
     for row in m:
         if len(row) != n:
@@ -231,13 +232,9 @@ def det_bareiss(rows) -> int:
         rest = []
         for row in m[1:]:
             x = row[0]
-            if x:
-                rest.append(
-                    [(pivot * y - x * p) // prev for y, p in zip(row[1:], tail)]
-                )
-            else:
-                # nothing to eliminate: the step only rescales the row
-                rest.append([pivot * y // prev for y in row[1:]])
+            rest.append(
+                [(pivot * y - x * p) // prev for y, p in zip(row[1:], tail)]
+            )
         m = rest
         prev = pivot
     return sign * m[0][0]
@@ -277,33 +274,37 @@ def root_free_count(g: DirectedMultigraph) -> int:
 
     N is the reduced determinant at the first vertex in canonical order.
     A second determinant certifies it.  Every column of the Laplacian L
-    sums to zero, so det L = 0 and, by the matrix determinant lemma,
+    sums to zero, so det L = 0 and the (i, j) cofactor C_ij does not
+    depend on i: C_ij = C_jj = N(j), the count rooted at vertex j.  Let
+    e_0 be the first unit vector and 1 the all-ones vector.  By the
+    matrix determinant lemma,
 
-        det(L + J) = det L + 1^T adj(L) 1 = sum of all n^2 cofactors,
+        det(L + e_0 1^T) = det L + 1^T adj(L) e_0 = sum_j C_0j
+                         = N(0) + N(1) + ... + N(n - 1),
 
-    where J is the all-ones matrix.  Zero column sums also make the
-    (i, j) cofactor independent of i; balance adds zero row sums, which
-    make it independent of j, so all n^2 cofactors equal N and
-    det(L + J) = n^2 * N.  Without balance the sum is n times the sum of
-    the n root counts, so the equation says that N is their mean, which
-    is not automatic: for a -> b, b -> c, a -> c it reads det(L + J) = 6
-    against n^2 * N(r) = 18, 0, 0 over the roots.  A wrong value from
-    either determinant breaks the equation too, unless the two errors
-    happen to match.  A mismatch raises RuntimeError.
+    and L + e_0 1^T is L with 1 added to every entry of row 0, so it
+    stays as sparse as L below that row.  Balance adds zero row sums,
+    which make every N(j) equal, so the sum is n * N.  Without balance
+    the equation says that N(0) is the mean of the n root counts, which
+    is not automatic: for a -> b, b -> c, a -> c the sum is 2 against
+    n * N(r) = 6, 0, 0 over the roots.  A wrong value from either
+    determinant breaks the equation too, unless the two errors happen
+    to match.  A mismatch raises RuntimeError.
 
     Connectivity is not required: a disconnected balanced graph has
-    every cofactor 0 and det(L + J) = 0, so it counts 0.
+    every cofactor 0, so both sides are 0 and it counts 0.
     """
     if not is_balanced(g):
         raise ValueError("graph is not balanced")
     lap = laplacian(g)
     n = len(lap.order)
     count = det_bareiss(_minor(lap, 0, 0))
-    total = det_bareiss([[x + 1 for x in row] for row in lap.rows])
-    if total != n * n * count:
+    total = det_bareiss([[x + 1 for x in lap.rows[0]], *lap.rows[1:]])
+    if total != n * count:
         raise RuntimeError(
             "root-dependent counts on a balanced graph: "
-            f"N({lap.order[0]})={count} but det(L+J)={total} != {n * n}*N"
+            f"N({lap.order[0]})={count} but the sum over roots is "
+            f"{total} != {n}*N"
         )
     return count
 
@@ -311,11 +312,13 @@ def root_free_count(g: DirectedMultigraph) -> int:
 def balanced_count(g: DirectedMultigraph) -> int:
     """The root-independent N of a connected balanced graph.
 
-    Refuses a disconnected graph, then returns the certified
-    ``root_free_count`` (which refuses an unbalanced one): one reduced
-    determinant checked against det(L + J), two determinants whatever
+    Refuses an unbalanced graph, then a disconnected one, and returns
+    the certified ``root_free_count``: one reduced determinant checked
+    against the sum of all n root counts, two determinants whatever
     the size.
     """
+    if not is_balanced(g):
+        raise ValueError("graph is not balanced")
     if not is_connected(g):
         raise ValueError("graph is not connected")
     return root_free_count(g)

@@ -83,7 +83,7 @@ def test_count_certificate_mismatch_is_identity_violation(
     capsys, lens_file, monkeypatch
 ):
     real = spanning.det_bareiss
-    # corrupt the 2x2 reduced determinant, not the 3x3 det(L + J)
+    # corrupt the 2x2 reduced determinant, not the 3x3 certificate
     monkeypatch.setattr(spanning, "det_bareiss", lambda rows: real(rows) + (len(rows) == 2))
     code, out, err = run(capsys, ["count", lens_file, "--method", "det"])
     assert (code, out) == (1, "")
