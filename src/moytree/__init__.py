@@ -41,7 +41,6 @@ from .laurent import (
     HalfLaurent,
     canonical_shift,
     equal_up_to_shift,
-    eval_one,
     monomial,
     quantum_integer,
 )
@@ -59,7 +58,6 @@ from .planar import (
     MapViolation,
     Region,
     decorate,
-    faces,
     validate_map,
 )
 from .skein import (
@@ -126,8 +124,6 @@ __all__ = [
     "enumerate_states",
     "enumerate_trees",
     "equal_up_to_shift",
-    "eval_one",
-    "faces",
     "fresh_id",
     "is_balanced",
     "is_connected",

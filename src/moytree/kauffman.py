@@ -10,6 +10,11 @@ crossing and adds over states:
                                north -> [i] (the quantum integer);
     basepoint edge of weight i1: north -> t^(i1/2).
 
+A state weight is therefore t^(s/2) times a product of quantum
+integers; ``state_weight`` adds up the shifts and multiplies the
+quantum integers by sliding-window sums (``laurent.quantum_product``),
+so its cost is linear in the weight, not quadratic.
+
 States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
 other crossing takes the corner met when its dual edge is crossed while
@@ -21,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .laurent import HalfLaurent, ONE, monomial, quantum_integer
+from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
 from .planar import (
     CORNERS,
     EAST,
@@ -70,8 +75,11 @@ def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
     return states
 
 
-def local_weight(diagram: DecoratedDiagram, edge_id: str, corner: str) -> HalfLaurent:
-    """Weight contributed by one crossing when its chosen corner is given."""
+def _local_factor(
+    diagram: DecoratedDiagram, edge_id: str, corner: str
+) -> tuple[int, int | None]:
+    """One crossing's local weight as (doubled shift, quantum weight or
+    None): the weight is t^(shift / 2), times [quantum weight] if any."""
     e = diagram.map.graph.edge(edge_id)
     if corner not in CORNERS:
         raise ValueError(f"unknown corner {corner!r}")
@@ -80,20 +88,35 @@ def local_weight(diagram: DecoratedDiagram, edge_id: str, corner: str) -> HalfLa
     if edge_id == diagram.basepoint:
         if corner != NORTH:
             raise ValueError("the basepoint crossing only admits the north corner")
-        return monomial(1, e.weight)
+        return e.weight, None
     if corner == NORTH:
-        return quantum_integer(e.weight)
+        return 0, e.weight
     if corner == WEST:
-        return monomial(1, -e.weight)
-    return monomial(1, e.weight)
+        return -e.weight, None
+    return e.weight, None
+
+
+def local_weight(diagram: DecoratedDiagram, edge_id: str, corner: str) -> HalfLaurent:
+    """Weight contributed by one crossing when its chosen corner is given."""
+    shift, quantum = _local_factor(diagram, edge_id, corner)
+    if quantum is None:
+        return monomial(1, shift)
+    return quantum_integer(quantum)
 
 
 def state_weight(diagram: DecoratedDiagram, state: State) -> HalfLaurent:
-    """Product of local weights over all crossings of one state."""
-    w = ONE
+    """Product of local weights over all crossings of one state.
+
+    The monomials add up to one shift and the quantum integers multiply
+    by sliding windows (``quantum_product``), linear in the span."""
+    shift = 0
+    quanta: list[int] = []
     for eid in sorted(state):
-        w = w * local_weight(diagram, eid, state[eid])
-    return w
+        s, quantum = _local_factor(diagram, eid, state[eid])
+        shift += s
+        if quantum is not None:
+            quanta.append(quantum)
+    return quantum_product(quanta, shift)
 
 
 def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:

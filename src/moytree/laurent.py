@@ -11,10 +11,18 @@ prints integer powers as ``t^3``/``t^-1`` (``t`` for exponent 1, bare
 coefficient for exponent 0) and half-integer powers in braces, e.g.
 ``t^{1/2}`` and ``t^{-3/2}``.  A coefficient of magnitude 1 is dropped in
 front of a power.
+
+Every local weight of a Kauffman state is a monomial or a quantum
+integer ``[w]``, so a state weight needs no general product:
+``quantum_product`` multiplies quantum integers on a dense coefficient
+list, where ``[w]`` is a window of ``w`` ones and multiplying by it is
+one prefix-sum pass, linear in the span.  ``HalfLaurent.__mul__`` stays
+the general O(|p|·|q|) product.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Mapping, Union
 
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]], None]
@@ -158,14 +166,45 @@ def quantum_integer(i: int) -> HalfLaurent:
 
     [i] has i terms, is palindromic, and evaluates to i at t = 1.
     """
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise ValueError(f"quantum integer defined for integers i >= 1, got {i!r}")
+    _check_quantum_index(i)
     return HalfLaurent({d: 1 for d in range(1 - i, i, 2)})
 
 
-def eval_one(p: HalfLaurent) -> int:
-    """Value of p at t = 1."""
-    return p.eval_one()
+def _check_quantum_index(i: object) -> None:
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        raise ValueError(f"quantum integer defined for integers i >= 1, got {i!r}")
+
+
+def quantum_product(weights: Iterable[int], doubled_shift: int = 0) -> HalfLaurent:
+    """t^(doubled_shift / 2) * [w_1] * ... * [w_k], exactly.
+
+    Every factor has terms two doubled exponents apart, so the product
+    lives on one grid of step 2 and is kept as a dense list of
+    coefficients from its lowest exponent up.  With x = t, one step of
+    the grid, [w] is t^((1 - w) / 2) * (1 + x + ... + x^(w-1)), so after
+    multiplying by it each coefficient is the sum of a window of w old
+    ones: with prefix sums P of the n old coefficients,
+
+        new[k] = P[min(k + 1, n)] - P[max(k - w + 1, 0)],
+
+    one pass of O(n + w) steps instead of the O(n * w) of a general
+    product.  No weights gives the monomial t^(doubled_shift / 2).
+    Raises ValueError on a weight that is not an int >= 1.
+    """
+    coeffs = [1]
+    low = doubled_shift
+    for w in weights:
+        _check_quantum_index(w)
+        if w == 1:  # [1] = 1; skipping it keeps unit-weight states cheap
+            continue
+        prefix = list(accumulate(coeffs, initial=0))
+        pad = w - 1
+        # P[min(k + 1, n)] and P[max(k - w + 1, 0)] for k = 0 .. n + w - 2
+        upper = prefix[1:] + [prefix[-1]] * pad
+        lower = [0] * pad + prefix[:-1]
+        coeffs = [a - b for a, b in zip(upper, lower)]
+        low -= pad
+    return HalfLaurent(zip(range(low, low + 2 * len(coeffs), 2), coeffs))
 
 
 def equal_up_to_shift(p: HalfLaurent, q: HalfLaurent) -> bool:

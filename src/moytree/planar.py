@@ -174,10 +174,6 @@ class CombinatorialMap:
         return len(self._faces) if self.graph.edges else 1
 
 
-def faces(m: CombinatorialMap) -> tuple[tuple[Dart, ...], ...]:
-    return m.faces()
-
-
 def _transverse_ok(darts: Sequence[Dart]) -> bool:
     # In-darts must form one contiguous cyclic arc: the cyclic sequence of
     # end letters changes value either 0 times (source/sink) or twice.

@@ -7,7 +7,9 @@ held.  All arithmetic is exact, so "held" means exact equality.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import product
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .generate import (
@@ -25,11 +27,13 @@ from .graph import (
 )
 from .kauffman import (
     enumerate_states,
+    local_weight,
     state_sum,
     state_to_tree,
     state_weight,
     tree_to_state,
 )
+from .laurent import ONE
 from .planar import decorate
 from .skein import CrossingPattern, verify_skein_t1
 from .spanning import (
@@ -95,8 +99,9 @@ def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
 
 def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
     """On plane diagrams: state sum at t = 1 equals the tree count, the
-    tree/state bijection round-trips both ways, and each tree's weight
-    equals its state's weight at t = 1."""
+    tree/state bijection round-trips both ways, each tree's weight
+    equals its state's weight at t = 1, and each state weight equals the
+    general product of its local weights."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):
@@ -115,6 +120,8 @@ def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
             )
         for state in states:
             good = good and tree_to_state(diagram, state_to_tree(diagram, state)) == state
+            factors = (local_weight(diagram, eid, state[eid]) for eid in sorted(state))
+            good = good and state_weight(diagram, state) == reduce(mul, factors, ONE)
         if good:
             passed += 1
     return CheckResult("main-theorem", passed, trials)

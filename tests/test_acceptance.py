@@ -7,8 +7,10 @@ seeds so the suite is reproducible.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
+from moytree.generate import random_plane_map
 from moytree.kauffman import (
     enumerate_states,
     state_sum,
@@ -133,12 +135,29 @@ def test_criterion_9_basepoint_independence_at_one(lens_map):
         e.id: state_sum(decorate(lens_map, e.id)) for e in lens_map.graph.edges
     }
     ok = all(p.eval_one() == 20 for p in polys.values())
-    # Full-polynomial agreement up to a shift is reported, not required.
     pairs = list(combinations(sorted(polys), 2))
     shifted = sum(equal_up_to_shift(polys[a], polys[b]) for a, b in pairs)
+    ok = ok and shifted == len(pairs)
     report(
         9,
-        "all basepoints give the same count at t=1",
+        "all basepoints give the same polynomial up to a shift",
         ok,
         f"shift-equivalent pairs: {shifted}/{len(pairs)}",
+    )
+
+
+def test_criterion_9_basepoint_independence_on_random_maps():
+    rng = random.Random(109)
+    maps = pairs = shifted = 0
+    for _ in range(50):
+        m = random_plane_map(rng, max_vertices=8, max_weight=5)
+        first, *others = (state_sum(decorate(m, e.id)) for e in m.graph.edges)
+        maps += 1
+        pairs += len(others)
+        shifted += sum(equal_up_to_shift(first, p) for p in others)
+    report(
+        9,
+        "basepoint independence up to a shift on random maps",
+        shifted == pairs,
+        f"{maps} maps, shift-equivalent pairs: {shifted}/{pairs}",
     )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from moytree.generate import random_plane_map, seed_lens_triangle
+from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
     dual_edges,
@@ -18,7 +20,7 @@ from moytree.kauffman import (
     state_weight,
     tree_to_state,
 )
-from moytree.laurent import equal_up_to_shift, monomial, quantum_integer
+from moytree.laurent import ONE, equal_up_to_shift, monomial, quantum_integer
 from moytree.planar import CombinatorialMap, Dart, decorate
 from moytree.spanning import (
     SpanningTree,
@@ -125,6 +127,31 @@ def test_local_weight_rejects_bad_corners(lens_diagram):
         local_weight(lens_diagram, "e12", "X")
     with pytest.raises(ValueError, match="only admits the north corner"):
         local_weight(lens_diagram, "e23", "W")
+
+
+def test_state_weight_is_the_product_of_local_weights():
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(40):
+        m = random_plane_map(rng, max_vertices=8, max_weight=5)
+        diagram = decorate(m, rng.choice(m.graph.edges).id)
+        for state in enumerate_states(diagram):
+            factors = [local_weight(diagram, eid, state[eid]) for eid in sorted(state)]
+            assert state_weight(diagram, state) == reduce(mul, factors, ONE)
+            checked += 1
+    assert checked > 100
+
+
+def test_state_sum_is_linear_in_the_weight():
+    # The 3-cycle has one state, all north: t^(w/2)·[w]·[w], whose
+    # coefficients climb 1..w and fall back to 1 on exponents 2 - w, 4 - w,
+    # ..., 3w - 2 (doubled).  A general product takes tens of seconds here.
+    w = 20000
+    p = state_sum(decorate(seed_cycle(3, w), "e0"))
+    exponents, coeffs = zip(*p.to_pairs())
+    assert exponents == tuple(range(2 - w, 3 * w - 1, 2))
+    assert coeffs == (*range(1, w + 1), *range(w - 1, 0, -1))
+    assert p.eval_one() == w * w
 
 
 def test_local_weight_rejects_nonpositive_weights():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -12,9 +14,9 @@ from moytree.laurent import (
     HalfLaurent,
     canonical_shift,
     equal_up_to_shift,
-    eval_one,
     monomial,
     quantum_integer,
+    quantum_product,
 )
 from oracles import convolve_pairs
 
@@ -81,7 +83,6 @@ def test_exponent_extremes():
 def test_eval_one_is_coefficient_sum():
     p = HalfLaurent({4: 3, -1: -5, 0: 2})
     assert p.eval_one() == 0
-    assert eval_one(p) == 0
     assert ZERO.eval_one() == 0
 
 
@@ -202,6 +203,39 @@ def test_quantum_integer_rejects_bad_input():
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError):
             quantum_integer(bad)
+
+
+# -- sliding-window products -----------------------------------------------
+
+
+def chained_product(weights, doubled_shift):
+    """The same product through the general O(|p|·|q|) multiplication."""
+    return reduce(mul, map(quantum_integer, weights), monomial(1, doubled_shift))
+
+
+def test_quantum_product_matches_chained_multiplication():
+    rng = random.Random(17)
+    for _ in range(300):
+        weights = [rng.randint(1, 12) for _ in range(rng.randint(0, 6))]
+        shift = rng.randint(-15, 15)
+        assert quantum_product(weights, shift) == chained_product(weights, shift)
+
+
+def test_quantum_product_edge_cases():
+    assert quantum_product([]) == ONE
+    assert quantum_product([], -7) == monomial(1, -7)
+    assert quantum_product([1, 1, 1], 3) == monomial(1, 3)
+    # an even and an odd weight give half-integer exponents
+    assert quantum_product([2, 3]) == chained_product([2, 3], 0)
+    for weights in ([1000], [1000, 1001], [1500, 2, 999], [1, 1024, 1]):
+        shift = len(weights) - 2
+        assert quantum_product(weights, shift) == chained_product(weights, shift)
+
+
+def test_quantum_product_rejects_bad_weights():
+    for bad in (0, -1, -1000, True, False, 2.0):
+        with pytest.raises(ValueError, match="i >= 1"):
+            quantum_product([3, bad])
 
 
 # -- identity and hashing --------------------------------------------------

@@ -12,7 +12,6 @@ from moytree.planar import (
     DiagramError,
     MapStructureError,
     decorate,
-    faces,
     require_positive_balanced,
     validate_map,
 )
@@ -111,7 +110,7 @@ def test_darts_property_lists_all_darts(lens_map):
 
 
 def test_lens_faces_exact_orbits(lens_map):
-    tokens = tuple(tuple(d.token() for d in f) for f in faces(lens_map))
+    tokens = tuple(tuple(d.token() for d in f) for f in lens_map.faces())
     assert tokens == (
         ("e12:h", "e21:h"),
         ("e12:t", "e23:t", "e13:h"),
