@@ -11,10 +11,17 @@ import argparse
 import sys
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
-from .graphfile import FormatError, GraphDocument, load_document
-from .kauffman import enumerate_states, state_sum
+from .graphfile import FormatError, build_map, load_document
+from .kauffman import (
+    enumerate_states,
+    state_sum,
+    state_to_tree,
+    state_weight,
+    tree_to_state,
+)
 from .planar import (
     CombinatorialMap,
+    DecoratedDiagram,
     DiagramError,
     MapStructureError,
     decorate,
@@ -31,7 +38,6 @@ from .spanning import (
     laplacian,
     tree_weight,
 )
-from .kauffman import state_to_tree, state_weight, tree_to_state
 
 
 def _fail_usage(message: str) -> int:
@@ -39,22 +45,18 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _require_map(doc: GraphDocument) -> CombinatorialMap:
-    if doc.rotation is None:
-        raise FormatError("rotation: required for this command but absent")
-    return CombinatorialMap(doc.graph, doc.rotation)
-
-
-def _basepoint(doc: GraphDocument, override: str | None) -> str:
-    if override is not None:
-        if not doc.graph.has_edge(override):
-            raise ValueError(f"unknown edge {override!r}")
-        return override
-    if doc.basepoint is None:
+def _diagram(args) -> DecoratedDiagram:
+    """The file's decorated diagram; the basepoint is --edge or the file's."""
+    doc = load_document(args.file)
+    m = build_map(doc)
+    basepoint = doc.basepoint if args.edge is None else args.edge
+    if basepoint is None:
         raise FormatError(
             "basepoint: required for this command; set it in the file or pass --edge"
         )
-    return doc.basepoint
+    if not doc.graph.has_edge(basepoint):
+        raise ValueError(f"unknown edge {basepoint!r}")
+    return decorate(m, basepoint)
 
 
 def _cmd_validate(args) -> int:
@@ -147,9 +149,7 @@ def _cmd_laplacian(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    doc = load_document(args.file)
-    m = _require_map(doc)
-    diagram = decorate(m, _basepoint(doc, args.edge))
+    diagram = _diagram(args)
     poly = state_sum(diagram)
     print(str(poly))
     print(f"eval@1 = {poly.eval_one()}")
@@ -157,9 +157,7 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_states(args) -> int:
-    doc = load_document(args.file)
-    m = _require_map(doc)
-    diagram = decorate(m, _basepoint(doc, args.edge))
+    diagram = _diagram(args)
     states = enumerate_states(diagram)
     for k, state in enumerate(states, start=1):
         print(f"state {k}:")
@@ -171,17 +169,16 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    doc = load_document(args.file)
-    m = _require_map(doc)
-    diagram = decorate(m, _basepoint(doc, args.edge))
-    trees = enumerate_trees(m.graph, diagram.root, force=args.force)
+    diagram = _diagram(args)
+    g = diagram.map.graph
+    trees = enumerate_trees(g, diagram.root, force=args.force)
     states = enumerate_states(diagram)
     print(f"root={diagram.root} trees={len(trees)} states={len(states)}")
     ok = len(trees) == len(states)
     for tree in trees:
         state = tree_to_state(diagram, tree)
         back = state_to_tree(diagram, state)
-        w_tree = tree_weight(m.graph, tree)
+        w_tree = tree_weight(g, tree)
         w_state = state_weight(diagram, state).eval_one()
         line_ok = back == tree and w_tree == w_state and state in states
         ok = ok and line_ok
@@ -303,11 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        return _fail_usage(str(exc))
-    except OSError as exc:
-        return _fail_usage(str(exc))
-    except EnumerationLimitError as exc:
+    except (FormatError, OSError, EnumerationLimitError) as exc:
         return _fail_usage(str(exc))
     except ValueError as exc:
         # covers unknown ids, bad flags, and structural misuse

@@ -141,11 +141,10 @@ def subdivide_map(m: CombinatorialMap, edge_id: str) -> CombinatorialMap:
     """Subdivide an edge of a plane map; the fresh vertex sits on the old
     arc, so faces and planarity are untouched."""
     g = m.graph
-    g.edge(edge_id)
     g2 = subdivide_edge(g, edge_id)
-    mid = fresh_id(f"{edge_id}.v", g.vertices)
-    first = fresh_id(f"{edge_id}.1", (x.id for x in g.edges))
-    second = fresh_id(f"{edge_id}.2", {x.id for x in g.edges} | {first})
+    (mid,) = set(g2.vertices) - set(g.vertices)
+    first = g2.in_edges(mid)[0].id
+    second = g2.out_edges(mid)[0].id
     rotation = {}
     for v, darts in m.rotation.items():
         replaced = []

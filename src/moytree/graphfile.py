@@ -158,5 +158,5 @@ def map_text(m: CombinatorialMap, basepoint: str | None = None) -> str:
 def build_map(doc: GraphDocument) -> CombinatorialMap:
     """The document's combinatorial map; requires the rotation field."""
     if doc.rotation is None:
-        raise ValueError("document has no rotation field")
+        raise FormatError("rotation: required for this command but absent")
     return CombinatorialMap(doc.graph, doc.rotation)

@@ -24,7 +24,6 @@ growing the dual spanning tree outward from the two marked faces.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
 from .planar import (
@@ -125,48 +124,6 @@ def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
     for state in enumerate_states(diagram):
         total = total + state_weight(diagram, state)
     return total
-
-
-class DualEdge(NamedTuple):
-    """The dual of a diagram edge: it joins the edge's two flanking faces."""
-
-    edge: str
-    faces: tuple[Region, Region]
-
-
-def dual_edges(diagram: DecoratedDiagram) -> tuple[DualEdge, ...]:
-    out = []
-    for e in diagram.map.graph.edges:
-        pair = (
-            diagram.face_of[Dart(e.id, TAIL)],
-            diagram.face_of[Dart(e.id, HEAD)],
-        )
-        out.append(DualEdge(e.id, tuple(sorted(pair))))
-    return tuple(out)
-
-
-def dual_tree(diagram: DecoratedDiagram, tree: SpanningTree) -> tuple[DualEdge, ...]:
-    """Duals of the edges outside the tree; always a spanning tree of the
-    dual graph (checked: face count minus one edges, connecting all faces)."""
-    _validate_tree(diagram.map.graph, tree)
-    chosen = [d for d in dual_edges(diagram) if d.edge not in tree.edges]
-    all_faces = {r for r in diagram.regions if r.kind == "face"}
-    if len(chosen) != len(all_faces) - 1:
-        raise RuntimeError(
-            f"dual complement has {len(chosen)} edges for {len(all_faces)} faces"
-        )
-    reached = {next(iter(sorted(all_faces)))}
-    frontier = True
-    while frontier:
-        frontier = False
-        for d in chosen:
-            a, b = d.faces
-            if (a in reached) != (b in reached):
-                reached.update((a, b))
-                frontier = True
-    if reached != all_faces:
-        raise RuntimeError("dual complement does not connect all faces")
-    return tuple(sorted(chosen))
 
 
 def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import DirectedMultigraph, is_balanced, is_connected
+from .graph import DirectedMultigraph, is_connected
 
 TAIL = "t"
 HEAD = "h"
@@ -333,16 +333,3 @@ def decorate(m: CombinatorialMap, basepoint: str) -> DecoratedDiagram:
     # Euler gives |regions| = F + V = (E + 2 - V) + V = |crossings| + 2.
     assert len(diagram.regions) == len(diagram.crossings) + 2
     return diagram
-
-
-def require_positive_balanced(m: CombinatorialMap) -> None:
-    """Raise unless the underlying graph is connected, balanced, and has
-    strictly positive weights."""
-    g = m.graph
-    bad = [e.id for e in g.edges if e.weight < 1]
-    if bad:
-        raise ValueError(f"weights must be positive; offending edges: {bad}")
-    if not is_balanced(g):
-        raise ValueError("graph is not balanced")
-    if not is_connected(g):
-        raise ValueError("graph is not connected")

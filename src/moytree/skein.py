@@ -32,14 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import DirectedMultigraph, Edge, fresh_id, is_balanced, is_connected
-from .kauffman import state_sum
-from .planar import CombinatorialMap, decorate, require_positive_balanced
-from .spanning import (
-    balanced_count,
-    count_by_determinant,
-    count_by_enumeration,
-    root_free_count,
-)
+from .spanning import root_free_count
 
 
 @dataclass(frozen=True)
@@ -150,29 +143,3 @@ def verify_skein_t1(g: DirectedMultigraph, pattern: CrossingPattern) -> SkeinChe
         rhs = Fraction(-n1, i * j) + Fraction(n2, j * (i + j))
     residual = Fraction(n) - rhs
     return SkeinCheck(residual == 0, n, n1, n2, residual)
-
-
-def verify_main_theorem(
-    subject: DirectedMultigraph | CombinatorialMap,
-    basepoint: str | None = None,
-) -> bool:
-    """Check that the state sum at t = 1 equals the weighted tree count.
-
-    For a plane map: decorates it (basepoint given, or the smallest edge
-    id), evaluates the state sum at t = 1 and compares with the
-    root-independent count.  For a bare graph there is no state sum;
-    agreement of the enumeration and determinant backends is checked at
-    every root instead.
-    """
-    if isinstance(subject, CombinatorialMap):
-        require_positive_balanced(subject)
-        bp = basepoint if basepoint is not None else subject.graph.edges[0].id
-        diagram = decorate(subject, bp)
-        return state_sum(diagram).eval_one() == balanced_count(subject.graph)
-    g = subject
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
-    return all(
-        count_by_determinant(g, r) == count_by_enumeration(g, r)
-        for r in g.vertices
-    )

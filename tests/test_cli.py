@@ -169,21 +169,40 @@ def test_bijection_golden(capsys, lens_file):
     )
 
 
+DIAGRAM_COMMANDS = ("alexander", "states", "bijection")
+
+
 def test_alexander_requires_rotation(capsys, unbalanced_file):
-    code, _, err = run(capsys, ["alexander", unbalanced_file])
-    assert code == 2
-    assert "rotation: required" in err
+    # every diagram command checks the rotation before the --edge override
+    for command in DIAGRAM_COMMANDS:
+        for extra in ([], ["--edge", "nope"]):
+            code, _, err = run(capsys, [command, unbalanced_file, *extra])
+            assert code == 2
+            assert "rotation: required" in err
 
 
 def test_alexander_requires_basepoint(capsys, tmp_path, lens_map):
     path = tmp_path / "nobase.json"
     path.write_text(map_text(lens_map), encoding="utf-8")
-    code, _, err = run(capsys, ["alexander", str(path)])
-    assert code == 2
-    assert "basepoint: required" in err
-    code, out, _ = run(capsys, ["alexander", str(path), "--edge", "e23"])
-    assert code == 0
+    for command in DIAGRAM_COMMANDS:
+        code, _, err = run(capsys, [command, str(path)])
+        assert code == 2
+        assert "basepoint: required" in err
+        code, _, _ = run(capsys, [command, str(path), "--edge", "e23"])
+        assert code == 0
+    _, out, _ = run(capsys, ["alexander", str(path), "--edge", "e23"])
     assert out == f"{ALEXANDER_LINE}\neval@1 = 20\n"
+
+
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS)
+def test_diagram_commands_reject_unknown_edge(capsys, tmp_path, lens_map, command):
+    # an unknown --edge is reported even when the file has no basepoint
+    path = tmp_path / "nobase.json"
+    path.write_text(map_text(lens_map), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path), "--edge", "nope"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown edge 'nope'\n"
 
 
 def test_alexander_rejects_bridge_diagrams(capsys, tmp_path):

@@ -17,9 +17,9 @@ from moytree.generate import (
     seed_theta,
     subdivide_map,
 )
-from moytree.graph import is_balanced, is_connected
+from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
 from moytree.graphfile import document_text, map_text
-from moytree.planar import validate_map
+from moytree.planar import CombinatorialMap, Dart, validate_map
 
 
 # -- seed library -----------------------------------------------------------
@@ -76,6 +76,26 @@ def test_subdivide_map_keeps_faces():
     assert len(m2.graph.vertices) == len(m.graph.vertices) + 1
     assert m2.graph.edge("e12.1").weight == 5
     assert m2.graph.edge("e12.2").weight == 5
+
+
+def test_subdivide_map_uses_the_ids_subdivide_edge_picks():
+    # "e.v" and "e.1" are taken, so the fresh ids gain apostrophes
+    g = DirectedMultigraph(
+        ["a", "e.v"], [Edge("e", "a", "e.v", 2), Edge("e.1", "e.v", "a", 2)]
+    )
+    m = CombinatorialMap(
+        g,
+        {
+            "a": (Dart("e", "t"), Dart("e.1", "h")),
+            "e.v": (Dart("e.1", "t"), Dart("e", "h")),
+        },
+    )
+    m2 = subdivide_map(m, "e")
+    assert m2.rotation["e.v'"] == (Dart("e.1'", "h"), Dart("e.2", "t"))
+    assert m2.rotation["a"] == (Dart("e.1'", "t"), Dart("e.1", "h"))
+    assert m2.rotation["e.v"] == (Dart("e.1", "t"), Dart("e.2", "h"))
+    assert validate_map(m2) == []
+    assert m2.face_count() == m.face_count()
 
 
 def test_double_edge_map_adds_a_lens_face():

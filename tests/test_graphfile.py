@@ -66,7 +66,7 @@ def test_shipped_demo_document_matches_the_generator(lens_map):
 
 def test_build_map_requires_rotation(lens_graph):
     doc = parse_document(document_text(lens_graph))
-    with pytest.raises(ValueError, match="no rotation"):
+    with pytest.raises(ValueError, match="rotation: required"):
         build_map(doc)
 
 

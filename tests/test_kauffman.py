@@ -11,8 +11,6 @@ import pytest
 from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
-    dual_edges,
-    dual_tree,
     enumerate_states,
     local_weight,
     state_sum,
@@ -203,36 +201,6 @@ def test_tree_to_state_rejects_invalid_trees(lens_diagram):
     bad = SpanningTree("v3", frozenset({"e12", "e13"}))  # e13 enters the root
     with pytest.raises(ValueError, match="enters the root"):
         tree_to_state(lens_diagram, bad)
-
-
-# -- dual structure -----------------------------------------------------------------
-
-
-def test_dual_edges_join_flanking_faces(lens_diagram):
-    duals = {d.edge: d.faces for d in dual_edges(lens_diagram)}
-    assert len(duals) == 5
-    assert duals["e23"] == lens_diagram.marked
-    for eid, (f1, f2) in duals.items():
-        assert f1 != f2
-        assert {f1, f2} == {
-            lens_diagram.face_of[Dart(eid, "t")],
-            lens_diagram.face_of[Dart(eid, "h")],
-        }
-
-
-def test_dual_tree_spans_the_faces(lens_diagram, lens_graph):
-    (tree,) = enumerate_trees(lens_graph, "v3")
-    duals = dual_tree(lens_diagram, tree)
-    assert [d.edge for d in duals] == ["e13", "e21", "e23"]
-    faces = {r for r in lens_diagram.regions if r.kind == "face"}
-    assert len(duals) == len(faces) - 1
-    touched = {f for d in duals for f in d.faces}
-    assert touched == faces
-
-
-def test_dual_tree_requires_a_valid_tree(lens_diagram):
-    with pytest.raises(ValueError, match="invalid tree"):
-        dual_tree(lens_diagram, SpanningTree("v3", frozenset({"e12", "e13"})))
 
 
 # -- bijection on random diagrams ------------------------------------------------------

@@ -12,7 +12,6 @@ from moytree.planar import (
     DiagramError,
     MapStructureError,
     decorate,
-    require_positive_balanced,
     validate_map,
 )
 
@@ -273,22 +272,3 @@ def test_decorate_rejects_bridges():
     m = plain_map([("e", "a", "b", 1)], {"a": ("e:t",), "b": ("e:h",)})
     with pytest.raises(DiagramError, match="bridge"):
         decorate(m, "e")
-
-
-# -- positivity guard ------------------------------------------------------------
-
-
-def test_require_positive_balanced(lens_map):
-    require_positive_balanced(lens_map)
-    zero = plain_map(
-        [("e", "a", "b", 0), ("f", "b", "a", 0)],
-        {"a": ("e:t", "f:h"), "b": ("f:t", "e:h")},
-    )
-    with pytest.raises(ValueError, match="must be positive"):
-        require_positive_balanced(zero)
-    lopsided = plain_map(
-        [("e", "a", "b", 2), ("f", "b", "a", 1)],
-        {"a": ("e:t", "f:h"), "b": ("f:t", "e:h")},
-    )
-    with pytest.raises(ValueError, match="not balanced"):
-        require_positive_balanced(lopsided)

@@ -13,7 +13,6 @@ from moytree.skein import (
     CrossingPattern,
     resolve_G1,
     resolve_G2,
-    verify_main_theorem,
     verify_skein_t1,
 )
 from moytree.spanning import count_by_determinant
@@ -187,17 +186,3 @@ def test_resolved_counts_are_root_independent():
     g1 = resolve_G1(g, pattern)
     counts = {count_by_determinant(g1, r) for r in g1.vertices}
     assert len(counts) == 1
-
-
-# -- the packaged end-to-end check ---------------------------------------------
-
-
-def test_verify_main_theorem_on_maps(lens_map):
-    assert verify_main_theorem(lens_map)
-    assert verify_main_theorem(lens_map, basepoint="e31")
-
-
-def test_verify_main_theorem_on_bare_graphs(lens_graph, make_graph):
-    assert verify_main_theorem(lens_graph)
-    with pytest.raises(ValueError, match="not connected"):
-        verify_main_theorem(make_graph(["a", "b"], []))
