@@ -73,8 +73,9 @@ def _cmd_validate(args) -> int:
 
     positive = all(e.weight >= 1 for e in g.edges)
     report("positive-weights", positive)
-    report("balance", is_balanced(g))
-    report("connectivity", is_connected(g))
+    balanced, connected = is_balanced(g), is_connected(g)
+    report("balance", balanced)
+    report("connectivity", connected)
     report("strong-connectivity", is_strongly_connected(g))
     if doc.rotation is None:
         print("rotation=absent")
@@ -91,7 +92,8 @@ def _cmd_validate(args) -> int:
                 relevant = [v for v in violations if v.check == check]
                 detail = "; ".join(f"{v.subject}: {v.message}" for v in relevant)
                 report(check, not relevant, detail)
-            if not violations and doc.basepoint is not None:
+            clean = not violations and balanced and connected
+            if clean and doc.basepoint is not None:
                 try:
                     decorate(m, doc.basepoint)
                     report("basepoint", True)

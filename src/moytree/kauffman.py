@@ -35,7 +35,6 @@ from .planar import (
     WEST,
     Dart,
     DecoratedDiagram,
-    Region,
 )
 from .spanning import SpanningTree, _validate_tree
 
@@ -49,9 +48,9 @@ def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
     west, east; regions are claimed exclusively, marked regions are never
     available.  The result lists each state as {edge id: corner}.
     """
-    edge_ids = [c.edge for c in diagram.crossings]
+    edge_ids = diagram.crossings
     marked = set(diagram.marked)
-    claimed: dict[Region, str] = {}
+    claimed: dict[int, str] = {}
     choice: dict[str, str] = {}
     states: list[State] = []
 
@@ -154,7 +153,7 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
         for e in g.edges
         if e.id not in tree.edges and e.id != diagram.basepoint
     ]
-    incident: dict[Region, list[tuple[str, Region, str]]] = {}
+    incident: dict[int, list[tuple[str, int, str]]] = {}
     for eid in remaining:
         east_face = diagram.face_of[Dart(eid, TAIL)]
         west_face = diagram.face_of[Dart(eid, HEAD)]
@@ -178,18 +177,16 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
             state[eid] = corner
             queue.append(other)
 
-    faces_total = sum(1 for r in diagram.regions if r.kind == "face")
-    if len(visited) != faces_total or len(used) != len(remaining):
+    if len(visited) != len(diagram.map.faces()) or len(used) != len(remaining):
         raise RuntimeError("dual traversal did not reach every face")
     _check_state(diagram, state)
     return state
 
 
 def _check_state(diagram: DecoratedDiagram, state: State) -> None:
-    expected = {c.edge for c in diagram.crossings}
-    if set(state) != expected:
+    if set(state) != set(diagram.crossings):
         raise ValueError("state must assign a corner to every crossing")
-    claimed: dict[Region, str] = {}
+    claimed: dict[int, str] = {}
     marked = set(diagram.marked)
     for eid, corner in state.items():
         if corner not in diagram.admissible_corners(eid):

@@ -219,11 +219,3 @@ def equal_up_to_shift(p: HalfLaurent, q: HalfLaurent) -> bool:
         return p.is_zero() and q.is_zero()
     d = q.min_doubled_exp() - p.min_doubled_exp()
     return q == p.shifted(d)
-
-
-def canonical_shift(p: HalfLaurent) -> HalfLaurent:
-    """Shift representative with lowest exponent 0; complete invariant for
-    equality up to monomial shifts."""
-    if p.is_zero():
-        return p
-    return p.shifted(-p.min_doubled_exp())

@@ -18,8 +18,10 @@ with t replaced by 1/t and fails its golden test.
 
 A diagram also reserves one circle region per vertex (a small disk
 around it), a basepoint edge whose two flanking faces become the marked
-regions, and one crossing per edge.  Region count always satisfies
-|regions| = |crossings| + 2 on a sphere-planar map.
+regions, and one crossing per edge.  Regions are numbered ints: the
+faces first, in ``faces()`` order, then the circles, in vertex order.
+Region count always satisfies |regions| = |crossings| + 2 on a
+sphere-planar map.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import DirectedMultigraph, is_connected
+from .graph import DirectedMultigraph
 
 TAIL = "t"
 HEAD = "h"
@@ -82,9 +84,8 @@ class CombinatorialMap:
     ``rotation`` maps each vertex to the counterclockwise cyclic sequence
     of its darts.  Construction enforces only structural coherence: every
     dart of every edge appears exactly once, at the vertex it is incident
-    to.  Softer properties (no loops, transverse orientation, planarity,
-    balance, connectivity) are reported by validate_map and enforced by
-    decorate.
+    to.  Softer properties (no loops, transverse orientation, planarity)
+    are reported by validate_map and enforced by decorate.
     """
 
     def __init__(
@@ -188,10 +189,11 @@ def _transverse_ok(darts: Sequence[Dart]) -> bool:
 
 
 def validate_map(m: CombinatorialMap) -> list[MapViolation]:
-    """All violated diagram invariants, empty when the map is clean.
+    """All violated map invariants, empty when the map is clean.
 
     Checks, in order: self-loops, transverse orientation at each vertex,
-    sphere planarity (V - E + F = 2), weight balance, and connectivity.
+    and sphere planarity (V - E + F = 2).  Balance and connectivity are
+    graph facts: see graph.is_balanced and graph.is_connected.
     """
     out: list[MapViolation] = []
     g = m.graph
@@ -218,50 +220,21 @@ def validate_map(m: CombinatorialMap) -> list[MapViolation]:
                 f"V - E + F = {euler}, expected 2 for a sphere embedding",
             )
         )
-    for v in g.vertices:
-        if g.in_weight(v) != g.out_weight(v):
-            out.append(
-                MapViolation(
-                    "balance",
-                    v,
-                    f"in-weight {g.in_weight(v)} != out-weight {g.out_weight(v)}",
-                )
-            )
-    if not is_connected(g):
-        out.append(MapViolation("connectivity", "*", "graph is not connected"))
     return out
-
-
-@dataclass(frozen=True, order=True)
-class Region:
-    """A face (key: canonical dart cycle) or a vertex circle (key: (v,))."""
-
-    kind: str
-    key: tuple
-
-    def label(self) -> str:
-        if self.kind == "circle":
-            return f"circle({self.key[0]})"
-        return f"face({self.key[0].token()})"
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """The point where an edge enters the circle around its head."""
-
-    edge: str
-    vertex: str
 
 
 class DecoratedDiagram:
     """A plane diagram with basepoint, crossings, regions and corners.
 
-    Built by decorate().  Exposes, for each edge e:
-      * its crossing at head(e);
-      * corner regions: north = circle(head(e)), east = face holding the
-        tail-end dart, west = face holding the head-end dart.
-    The basepoint edge's east/west corners land in the two marked
-    regions, so only its north corner is admissible in a state.
+    Built by decorate().  Regions are ints: faces are 0 .. F-1 in
+    ``m.faces()`` order, and the circle around the i-th vertex of
+    ``g.vertices`` is F + i, so ``regions`` is range(F + V).  The
+    crossing of edge e sits where e enters head(e); ``crossings`` lists
+    the edge ids in edge order.  For each edge e the corner regions are:
+    north = circle(head(e)), east = face holding the tail-end dart, west
+    = face holding the head-end dart.  ``marked`` is the sorted pair of
+    faces flanking the basepoint edge, so only the basepoint's north
+    corner is admissible in a state.
     """
 
     def __init__(self, m: CombinatorialMap, basepoint: str):
@@ -270,36 +243,25 @@ class DecoratedDiagram:
         self.basepoint = basepoint
         self.root = g.edge(basepoint).head
 
-        face_regions = {
-            orbit: Region("face", orbit) for orbit in m.faces()
+        faces = m.faces()
+        self.face_of: dict[Dart, int] = {
+            d: k for k, orbit in enumerate(faces) for d in orbit
         }
-        self.face_of: dict[Dart, Region] = {}
-        for orbit, region in face_regions.items():
-            for d in orbit:
-                self.face_of[d] = region
+        self.circle_of: dict[str, int] = {
+            v: len(faces) + i for i, v in enumerate(g.vertices)
+        }
+        self.regions = range(len(faces) + len(g.vertices))
+        self.crossings: tuple[str, ...] = tuple(e.id for e in g.edges)
 
-        circles = {v: Region("circle", (v,)) for v in g.vertices}
-        self.circle_of = circles
-        self.regions: tuple[Region, ...] = tuple(
-            sorted(list(face_regions.values()) + list(circles.values()))
-        )
-        self.crossings: tuple[Crossing, ...] = tuple(
-            Crossing(e.id, e.head) for e in g.edges
-        )
-
-        self.corner_region: dict[tuple[str, str], Region] = {}
+        self.corner_region: dict[tuple[str, str], int] = {}
         for e in g.edges:
-            self.corner_region[e.id, NORTH] = circles[e.head]
+            self.corner_region[e.id, NORTH] = self.circle_of[e.head]
             self.corner_region[e.id, EAST] = self.face_of[Dart(e.id, TAIL)]
             self.corner_region[e.id, WEST] = self.face_of[Dart(e.id, HEAD)]
 
         r_u = self.face_of[Dart(basepoint, TAIL)]
         r_v = self.face_of[Dart(basepoint, HEAD)]
-        self.marked: tuple[Region, Region] = tuple(sorted((r_u, r_v)))
-        marked = set(self.marked)
-        self.unmarked: tuple[Region, ...] = tuple(
-            r for r in self.regions if r not in marked
-        )
+        self.marked: tuple[int, int] = tuple(sorted((r_u, r_v)))
 
     def admissible_corners(self, edge_id: str) -> tuple[str, ...]:
         if edge_id == self.basepoint:
@@ -317,11 +279,11 @@ def decorate(m: CombinatorialMap, basepoint: str) -> DecoratedDiagram:
     """
     if not m.graph.has_edge(basepoint):
         raise DiagramError(f"unknown basepoint edge {basepoint!r}")
-    hard = [
-        v for v in validate_map(m) if v.check in ("loop", "transverse", "planar")
-    ]
-    if hard:
-        details = "; ".join(f"{v.check}[{v.subject}]: {v.message}" for v in hard)
+    violations = validate_map(m)
+    if violations:
+        details = "; ".join(
+            f"{v.check}[{v.subject}]: {v.message}" for v in violations
+        )
         raise DiagramError(f"map cannot be decorated: {details}")
     diagram = DecoratedDiagram(m, basepoint)
     for e in m.graph.edges:

@@ -260,6 +260,62 @@ def test_validate_unbalanced_graph(capsys, unbalanced_file):
     assert lines[-1] == "result=fail"
 
 
+def test_validate_unbalanced_map_with_basepoint(capsys, tmp_path, lens_map):
+    # the map checks pass, yet an unbalanced graph gets no basepoint line
+    doc = json.loads(map_text(lens_map, basepoint="e23"))
+    doc["edges"][0]["weight"] += 1
+    path = tmp_path / "bumped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out == (
+        "positive-weights=ok\n"
+        "balance=fail\n"
+        "connectivity=ok\n"
+        "strong-connectivity=ok\n"
+        "rotation-structure=ok\n"
+        "loop=ok\n"
+        "transverse=ok\n"
+        "planar=ok\n"
+        "result=fail\n"
+    )
+
+
+def test_validate_disconnected_map(capsys, tmp_path):
+    g = DirectedMultigraph(
+        ["a", "b", "c", "d"],
+        [
+            Edge("e1", "a", "b", 1),
+            Edge("e2", "b", "a", 1),
+            Edge("f1", "c", "d", 1),
+            Edge("f2", "d", "c", 1),
+        ],
+    )
+    doc = json.loads(document_text(g))
+    doc["rotation"] = {
+        "a": ["e1:t", "e2:h"],
+        "b": ["e2:t", "e1:h"],
+        "c": ["f1:t", "f2:h"],
+        "d": ["f2:t", "f1:h"],
+    }
+    doc["basepoint"] = "e1"
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out == (
+        "positive-weights=ok\n"
+        "balance=ok\n"
+        "connectivity=fail\n"
+        "strong-connectivity=fail\n"
+        "rotation-structure=ok\n"
+        "loop=ok\n"
+        "transverse=ok\n"
+        "planar=fail *: V - E + F = 4, expected 2 for a sphere embedding\n"
+        "result=fail\n"
+    )
+
+
 # -- skein and subdivision ----------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from moytree.laurent import (
     ONE,
     ZERO,
     HalfLaurent,
-    canonical_shift,
     equal_up_to_shift,
     monomial,
     quantum_integer,
@@ -157,19 +156,6 @@ def test_equal_up_to_shift():
     assert equal_up_to_shift(ZERO, ZERO)
     # same support, different coefficients
     assert not equal_up_to_shift(HalfLaurent({0: 1, 2: 2}), HalfLaurent({0: 2, 2: 1}))
-
-
-def test_canonical_shift_normalizes():
-    rng = random.Random(15)
-    for _ in range(100):
-        p = random_poly(rng)
-        if p.is_zero():
-            assert canonical_shift(p) == ZERO
-            continue
-        c = canonical_shift(p)
-        assert c.min_doubled_exp() == 0
-        assert canonical_shift(p.shifted(rng.randint(-9, 9))) == c
-        assert equal_up_to_shift(p, c)
 
 
 # -- quantum integers ------------------------------------------------------

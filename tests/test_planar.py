@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from moytree.generate import seed_cycle, seed_lens_triangle, seed_theta
-from moytree.graph import DirectedMultigraph, Edge
+from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle, seed_theta
+from moytree.graph import DirectedMultigraph, Edge, is_connected
 from moytree.planar import (
     CombinatorialMap,
     Dart,
@@ -173,15 +175,6 @@ def test_planar_violation_on_twisted_theta():
     assert [v.check for v in validate_map(twisted)] == ["planar"]
 
 
-def test_balance_violation_reported_per_vertex():
-    m = plain_map([("e", "a", "b", 1)], {"a": ("e:t",), "b": ("e:h",)})
-    violations = validate_map(m)
-    assert [(v.check, v.subject) for v in violations] == [
-        ("balance", "a"),
-        ("balance", "b"),
-    ]
-
-
 def test_disconnected_map_fails_planarity_and_connectivity():
     m = plain_map(
         [("e1", "a", "b", 1), ("e2", "b", "a", 1), ("f1", "c", "d", 1), ("f2", "d", "c", 1)],
@@ -192,7 +185,8 @@ def test_disconnected_map_fails_planarity_and_connectivity():
             "d": ("f2:t", "f1:h"),
         },
     )
-    assert [v.check for v in validate_map(m)] == ["planar", "connectivity"]
+    assert [v.check for v in validate_map(m)] == ["planar"]
+    assert not is_connected(m.graph)
 
 
 # -- decoration --------------------------------------------------------------------
@@ -203,14 +197,7 @@ def test_decorated_lens_layout(lens_diagram):
     assert d.basepoint == "e23"
     assert d.root == "v3"
     assert len(d.regions) == 7
-    assert len(d.crossings) == 5
-    assert {c.edge: c.vertex for c in d.crossings} == {
-        "e12": "v2",
-        "e13": "v3",
-        "e21": "v1",
-        "e23": "v3",
-        "e31": "v1",
-    }
+    assert d.crossings == ("e12", "e13", "e21", "e23", "e31")
     assert len(d.regions) == len(d.crossings) + 2
 
 
@@ -220,9 +207,8 @@ def test_decorated_lens_marked_regions(lens_diagram):
         sorted((d.face_of[Dart("e23", "t")], d.face_of[Dart("e23", "h")]))
     )
     assert d.marked == expected
-    assert len(d.unmarked) == 5
-    assert set(d.unmarked).isdisjoint(d.marked)
-    assert set(d.unmarked) | set(d.marked) == set(d.regions)
+    assert set(d.marked) <= set(d.regions)
+    assert len(set(d.regions) - set(d.marked)) == 5
 
 
 def test_corner_orientation_is_pinned(lens_diagram):
@@ -238,10 +224,24 @@ def test_admissible_corners(lens_diagram):
     assert lens_diagram.admissible_corners("e12") == ("N", "W", "E")
 
 
-def test_region_labels(lens_diagram):
-    labels = {r.label() for r in lens_diagram.regions}
-    assert "circle(v3)" in labels
-    assert "face(e12:h)" in labels
+def test_regions_are_numbered_faces_then_circles(lens_diagram):
+    rng = random.Random(23)
+    diagrams = [lens_diagram]
+    for _ in range(20):
+        m = random_plane_map(rng, max_vertices=8, max_weight=5)
+        diagrams.append(decorate(m, rng.choice(m.graph.edges).id))
+    for d in diagrams:
+        faces = d.map.faces()
+        vertices = d.map.graph.vertices
+        assert d.regions == range(len(faces) + len(vertices))
+        for k, orbit in enumerate(faces):
+            assert all(d.face_of[dart] == k for dart in orbit)
+        assert len(d.face_of) == 2 * len(d.crossings)
+        assert [d.circle_of[v] for v in vertices] == list(
+            range(len(faces), len(faces) + len(vertices))
+        )
+        assert set(d.corner_region.values()) <= set(d.regions)
+        assert len(set(d.regions) - set(d.marked)) == len(d.crossings)
 
 
 def test_decorate_rejects_unknown_basepoint(lens_map):
