@@ -175,6 +175,8 @@ def _cmd_bijection(args) -> int:
     g = diagram.map.graph
     trees = enumerate_trees(g, diagram.root, force=args.force)
     states = enumerate_states(diagram)
+    # a state is known by its corners in crossing order
+    known = {tuple(map(s.get, diagram.crossings)) for s in states}
     print(f"root={diagram.root} trees={len(trees)} states={len(states)}")
     ok = len(trees) == len(states)
     for tree in trees:
@@ -182,7 +184,8 @@ def _cmd_bijection(args) -> int:
         back = state_to_tree(diagram, state)
         w_tree = tree_weight(g, tree)
         w_state = state_weight(diagram, state).eval_one()
-        line_ok = back == tree and w_tree == w_state and state in states
+        found = tuple(map(state.get, diagram.crossings)) in known
+        line_ok = back == tree and w_tree == w_state and found
         ok = ok and line_ok
         print(
             f"tree: {' '.join(tree.sorted_edges())} -> "

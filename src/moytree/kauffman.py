@@ -26,16 +26,7 @@ from __future__ import annotations
 from collections import deque
 
 from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
-from .planar import (
-    CORNERS,
-    EAST,
-    HEAD,
-    NORTH,
-    TAIL,
-    WEST,
-    Dart,
-    DecoratedDiagram,
-)
+from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
 from .spanning import SpanningTree, _validate_tree
 
 State = dict[str, str]
@@ -129,10 +120,10 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
     """The state matching a spanning tree rooted at head(basepoint).
 
     Tree edges and the basepoint go north.  The remaining duals form the
-    dual spanning tree; growing it breadth-first from the two marked
-    faces, each dual edge crossed into a fresh face f assigns that edge's
-    crossing the corner lying in f (east when f flanks the tail side,
-    west when it flanks the head side).
+    dual spanning forest; growing it breadth-first from the two marked
+    faces over ``corner_region``, each dual edge crossed out of a grown
+    face gives its crossing the corner on the far side.  A result that
+    is not a state violates the correspondence: RuntimeError.
     """
     g = diagram.map.graph
     if tree.root != diagram.root:
@@ -148,38 +139,24 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
     for eid in tree.edges:
         state[eid] = NORTH
 
-    remaining = [
-        e.id
-        for e in g.edges
-        if e.id not in tree.edges and e.id != diagram.basepoint
-    ]
-    incident: dict[int, list[tuple[str, int, str]]] = {}
-    for eid in remaining:
-        east_face = diagram.face_of[Dart(eid, TAIL)]
-        west_face = diagram.face_of[Dart(eid, HEAD)]
-        incident.setdefault(east_face, []).append((eid, west_face, WEST))
-        incident.setdefault(west_face, []).append((eid, east_face, EAST))
+    corner_region = diagram.corner_region
+    incident: dict[int, list[tuple[str, str]]] = {}
+    for eid in diagram.crossings:
+        if eid not in state:
+            incident.setdefault(corner_region[eid, EAST], []).append((eid, WEST))
+            incident.setdefault(corner_region[eid, WEST], []).append((eid, EAST))
 
-    visited = set(diagram.marked)
-    queue = deque(sorted(visited))
-    used: set[str] = set()
+    queue = deque(diagram.marked)
     while queue:
-        face = queue.popleft()
-        for eid, other, corner in sorted(incident.get(face, ())):
-            if eid in used:
-                continue
-            if other in visited:
-                raise RuntimeError(
-                    f"dual complement closes a cycle at edge {eid!r}"
-                )
-            used.add(eid)
-            visited.add(other)
-            state[eid] = corner
-            queue.append(other)
+        for eid, corner in sorted(incident.get(queue.popleft(), ())):
+            if eid not in state:
+                state[eid] = corner
+                queue.append(corner_region[eid, corner])
 
-    if len(visited) != len(diagram.map.faces()) or len(used) != len(remaining):
-        raise RuntimeError("dual traversal did not reach every face")
-    _check_state(diagram, state)
+    try:
+        _check_state(diagram, state)
+    except ValueError as exc:
+        raise RuntimeError(f"tree does not induce a state: {exc}") from exc
     return state
 
 

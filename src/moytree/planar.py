@@ -230,11 +230,11 @@ class DecoratedDiagram:
     ``m.faces()`` order, and the circle around the i-th vertex of
     ``g.vertices`` is F + i, so ``regions`` is range(F + V).  The
     crossing of edge e sits where e enters head(e); ``crossings`` lists
-    the edge ids in edge order.  For each edge e the corner regions are:
-    north = circle(head(e)), east = face holding the tail-end dart, west
-    = face holding the head-end dart.  ``marked`` is the sorted pair of
-    faces flanking the basepoint edge, so only the basepoint's north
-    corner is admissible in a state.
+    the edge ids in edge order.  ``corner_region[e, corner]`` is the only
+    corner geometry: north = circle(head(e)), east = face holding the
+    tail-end dart, west = face holding the head-end dart.  ``marked`` is
+    the sorted pair of the basepoint's east and west regions, so only
+    the basepoint's north corner is admissible in a state.
     """
 
     def __init__(self, m: CombinatorialMap, basepoint: str):
@@ -244,24 +244,20 @@ class DecoratedDiagram:
         self.root = g.edge(basepoint).head
 
         faces = m.faces()
-        self.face_of: dict[Dart, int] = {
-            d: k for k, orbit in enumerate(faces) for d in orbit
-        }
-        self.circle_of: dict[str, int] = {
-            v: len(faces) + i for i, v in enumerate(g.vertices)
-        }
+        face_of = {d: k for k, orbit in enumerate(faces) for d in orbit}
+        circle_of = {v: len(faces) + i for i, v in enumerate(g.vertices)}
         self.regions = range(len(faces) + len(g.vertices))
         self.crossings: tuple[str, ...] = tuple(e.id for e in g.edges)
 
         self.corner_region: dict[tuple[str, str], int] = {}
         for e in g.edges:
-            self.corner_region[e.id, NORTH] = self.circle_of[e.head]
-            self.corner_region[e.id, EAST] = self.face_of[Dart(e.id, TAIL)]
-            self.corner_region[e.id, WEST] = self.face_of[Dart(e.id, HEAD)]
+            self.corner_region[e.id, NORTH] = circle_of[e.head]
+            self.corner_region[e.id, EAST] = face_of[Dart(e.id, TAIL)]
+            self.corner_region[e.id, WEST] = face_of[Dart(e.id, HEAD)]
 
-        r_u = self.face_of[Dart(basepoint, TAIL)]
-        r_v = self.face_of[Dart(basepoint, HEAD)]
-        self.marked: tuple[int, int] = tuple(sorted((r_u, r_v)))
+        self.marked: tuple[int, int] = tuple(
+            sorted(self.corner_region[basepoint, c] for c in (EAST, WEST))
+        )
 
     def admissible_corners(self, edge_id: str) -> tuple[str, ...]:
         if edge_id == self.basepoint:
@@ -287,7 +283,7 @@ def decorate(m: CombinatorialMap, basepoint: str) -> DecoratedDiagram:
         raise DiagramError(f"map cannot be decorated: {details}")
     diagram = DecoratedDiagram(m, basepoint)
     for e in m.graph.edges:
-        if diagram.face_of[Dart(e.id, TAIL)] == diagram.face_of[Dart(e.id, HEAD)]:
+        if diagram.corner_region[e.id, EAST] == diagram.corner_region[e.id, WEST]:
             raise DiagramError(
                 f"edge {e.id!r} has the same face on both sides (bridge); "
                 "basepoint regions would collide"

@@ -6,16 +6,16 @@ replace them with small gadgets on fresh vertices v1, v2:
 
   G1, i <= j:  c -> v2 (i), v2 -> a (j), d -> v1 (j), v1 -> b (i),
                v1 -> v2 (j - i, omitted when i = j).
-  G1, j < i:   mirrored: d -> v2 (j), v2 -> b (i), c -> v1 (i),
-               v1 -> a (j), v1 -> v2 (i - j).
+  G1, j < i:   the i <= j gadget with the strands' roles swapped:
+               d -> v2 (j), v2 -> b (i), c -> v1 (i), v1 -> a (j),
+               v1 -> v2 (i - j).
   G2, always:  c -> v1 (i), d -> v1 (j), v1 -> v2 (i + j),
                v2 -> a (j), v2 -> b (i).
 
 Both resolutions preserve balance.  At t = 1 the weighted tree counts
 satisfy
 
-  N(G) = -1/(i*j) * N(G1) + 1/(i*(i+j)) * N(G2)      for i <= j,
-  N(G) = -1/(i*j) * N(G1) + 1/(j*(i+j)) * N(G2)      for j < i,
+  N(G) = -1/(i*j) * N(G1) + 1/(min(i, j)*(i+j)) * N(G2),
 
 verified in exact rational arithmetic.  Each count is the certified
 ``spanning.root_free_count``: one reduced determinant checked against
@@ -70,25 +70,18 @@ def resolve_G1(g: DirectedMultigraph, pattern: CrossingPattern) -> DirectedMulti
     ei, ej = _pattern_edges(g, pattern)
     i, j = ei.weight, ej.weight
     c, b, d, a = ei.tail, ei.head, ej.tail, ej.head
+    if j < i:
+        c, b, i, d, a, j = d, a, j, c, b, i
     v1, v2, (r1, r2, r3, r4, r5) = _gadget_names(g)
     edges = [e for e in g.edges if e.id not in (ei.id, ej.id)]
-    if i <= j:
-        edges += [
-            Edge(r1, c, v2, i),
-            Edge(r2, v2, a, j),
-            Edge(r3, d, v1, j),
-            Edge(r4, v1, b, i),
-        ]
-        if j - i > 0:
-            edges.append(Edge(r5, v1, v2, j - i))
-    else:
-        edges += [
-            Edge(r1, d, v2, j),
-            Edge(r2, v2, b, i),
-            Edge(r3, c, v1, i),
-            Edge(r4, v1, a, j),
-            Edge(r5, v1, v2, i - j),
-        ]
+    edges += [
+        Edge(r1, c, v2, i),
+        Edge(r2, v2, a, j),
+        Edge(r3, d, v1, j),
+        Edge(r4, v1, b, i),
+    ]
+    if j > i:
+        edges.append(Edge(r5, v1, v2, j - i))
     return DirectedMultigraph(list(g.vertices) + [v1, v2], edges)
 
 
@@ -137,9 +130,6 @@ def verify_skein_t1(g: DirectedMultigraph, pattern: CrossingPattern) -> SkeinChe
     n = root_free_count(g)
     n1 = root_free_count(resolve_G1(g, pattern))
     n2 = root_free_count(resolve_G2(g, pattern))
-    if i <= j:
-        rhs = Fraction(-n1, i * j) + Fraction(n2, i * (i + j))
-    else:
-        rhs = Fraction(-n1, i * j) + Fraction(n2, j * (i + j))
+    rhs = Fraction(-n1, i * j) + Fraction(n2, min(i, j) * (i + j))
     residual = Fraction(n) - rhs
     return SkeinCheck(residual == 0, n, n1, n2, residual)

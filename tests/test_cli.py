@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from moytree import spanning
+from moytree import cli, spanning
 from moytree.cli import main
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
+
+ROOT = Path(__file__).resolve().parent.parent
+LENS_DATA = str(ROOT / "data" / "lens_triangle.json")
 
 ALEXANDER_LINE = (
     "t^{9/2} + 2*t^{7/2} + 3*t^{5/2} + 4*t^{3/2} + 4*t^{1/2} "
@@ -167,6 +172,24 @@ def test_bijection_golden(capsys, lens_file):
         "tree: e12 e31 -> ok weight=20\n"
         "bijection=ok\n"
     )
+
+
+@pytest.mark.parametrize("edge", ("e13", "e21"))
+@pytest.mark.parametrize("side, other", (("W", "E"), ("E", "W")))
+def test_bijection_state_check_failure_is_identity_violation(
+    capsys, monkeypatch, edge, side, other
+):
+    real_decorate = cli.decorate
+
+    def corrupted(m, basepoint):
+        d = real_decorate(m, basepoint)
+        d.corner_region[edge, side] = d.corner_region[edge, other]
+        return d
+
+    monkeypatch.setattr(cli, "decorate", corrupted)
+    code, _, err = run(capsys, ["bijection", LENS_DATA])
+    assert code == 1
+    assert err.startswith("identity violated: tree does not induce a state")
 
 
 DIAGRAM_COMMANDS = ("alexander", "states", "bijection")
@@ -374,3 +397,26 @@ def test_selftest_smoke(capsys):
     lines = out.splitlines()
     assert lines[-1] == "selftest=ok"
     assert any(line.startswith("matrix-tree: ") for line in lines)
+
+
+# -- the README's examples --------------------------------------------------
+
+
+def readme_examples():
+    """(argv, stdout) for each ``$ moytree ...`` line of the README's
+    "Command line" example block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ moytree ")[1:]:
+        command, _, output = chunk.partition("\n")
+        argv = shlex.split(command)
+        examples.append(pytest.param(argv, output.rstrip("\n") + "\n", id=argv[0]))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_command_line_example(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, argv) == (0, expected, "")

@@ -203,6 +203,19 @@ def test_tree_to_state_rejects_invalid_trees(lens_diagram):
         tree_to_state(lens_diagram, bad)
 
 
+@pytest.mark.parametrize("edge", ("e13", "e21"))
+@pytest.mark.parametrize("side, other", (("W", "E"), ("E", "W")))
+def test_tree_to_state_result_that_is_no_state_is_identity_violation(
+    lens_diagram, lens_graph, edge, side, other
+):
+    # One corner of a non-tree crossing moved onto the face of its other
+    # corner: the dual traversal can no longer yield a state.
+    lens_diagram.corner_region[edge, side] = lens_diagram.corner_region[edge, other]
+    (tree,) = enumerate_trees(lens_graph, "v3")
+    with pytest.raises(RuntimeError, match="tree does not induce a state"):
+        tree_to_state(lens_diagram, tree)
+
+
 # -- bijection on random diagrams ------------------------------------------------------
 
 

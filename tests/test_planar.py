@@ -201,22 +201,29 @@ def test_decorated_lens_layout(lens_diagram):
     assert len(d.regions) == len(d.crossings) + 2
 
 
+def _face_index(d, dart):
+    """The region number of the face orbit holding the dart."""
+    return next(k for k, orbit in enumerate(d.map.faces()) if dart in orbit)
+
+
 def test_decorated_lens_marked_regions(lens_diagram):
     d = lens_diagram
-    expected = tuple(
-        sorted((d.face_of[Dart("e23", "t")], d.face_of[Dart("e23", "h")]))
-    )
-    assert d.marked == expected
+    east = _face_index(d, Dart("e23", "t"))
+    west = _face_index(d, Dart("e23", "h"))
+    assert (d.corner_region["e23", "E"], d.corner_region["e23", "W"]) == (east, west)
+    assert d.marked == tuple(sorted((east, west)))
     assert set(d.marked) <= set(d.regions)
     assert len(set(d.regions) - set(d.marked)) == 5
 
 
 def test_corner_orientation_is_pinned(lens_diagram):
     d = lens_diagram
+    face_count = len(d.map.faces())
+    vertices = d.map.graph.vertices
     for eid, head in (("e12", "v2"), ("e23", "v3"), ("e31", "v1")):
-        assert d.corner_region[eid, "N"] == d.circle_of[head]
-        assert d.corner_region[eid, "E"] == d.face_of[Dart(eid, "t")]
-        assert d.corner_region[eid, "W"] == d.face_of[Dart(eid, "h")]
+        assert d.corner_region[eid, "N"] == face_count + vertices.index(head)
+        assert d.corner_region[eid, "E"] == _face_index(d, Dart(eid, "t"))
+        assert d.corner_region[eid, "W"] == _face_index(d, Dart(eid, "h"))
 
 
 def test_admissible_corners(lens_diagram):
@@ -234,12 +241,15 @@ def test_regions_are_numbered_faces_then_circles(lens_diagram):
         faces = d.map.faces()
         vertices = d.map.graph.vertices
         assert d.regions == range(len(faces) + len(vertices))
-        for k, orbit in enumerate(faces):
-            assert all(d.face_of[dart] == k for dart in orbit)
-        assert len(d.face_of) == 2 * len(d.crossings)
-        assert [d.circle_of[v] for v in vertices] == list(
-            range(len(faces), len(faces) + len(vertices))
-        )
+        face_of = {dart: k for k, orbit in enumerate(faces) for dart in orbit}
+        assert len(face_of) == 2 * len(d.crossings)
+        for e in d.map.graph.edges:
+            circle = len(faces) + vertices.index(e.head)
+            assert d.corner_region[e.id, "N"] == circle
+            assert d.corner_region[e.id, "E"] == face_of[Dart(e.id, "t")]
+            assert d.corner_region[e.id, "W"] == face_of[Dart(e.id, "h")]
+        flanks = (face_of[Dart(d.basepoint, "t")], face_of[Dart(d.basepoint, "h")])
+        assert d.marked == tuple(sorted(flanks))
         assert set(d.corner_region.values()) <= set(d.regions)
         assert len(set(d.regions) - set(d.marked)) == len(d.crossings)
 
