@@ -13,9 +13,9 @@ import sys
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
 from .graphfile import FormatError, build_map, load_document
 from .kauffman import (
+    _north_tree,
     enumerate_states,
     state_sum,
-    state_to_tree,
     state_weight,
     tree_to_state,
 )
@@ -180,8 +180,9 @@ def _cmd_bijection(args) -> int:
     print(f"root={diagram.root} trees={len(trees)} states={len(states)}")
     ok = len(trees) == len(states)
     for tree in trees:
+        # tree_to_state has checked the state, so the way back skips that check
         state = tree_to_state(diagram, tree)
-        back = state_to_tree(diagram, state)
+        back = _north_tree(diagram, state)
         w_tree = tree_weight(g, tree)
         w_state = state_weight(diagram, state).eval_one()
         found = tuple(map(state.get, diagram.crossings)) in known

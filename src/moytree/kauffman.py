@@ -3,8 +3,20 @@
 A state assigns to each crossing one of its corners so that the induced
 map from crossings to regions is a bijection onto the unmarked regions.
 The basepoint crossing is forced north (its west and east corners sit in
-the two marked regions).  The state sum multiplies local weights per
-crossing and adds over states:
+the two marked regions).
+
+So a state is a perfect matching of crossings to unmarked regions, an
+exact cover, and ``enumerate_states`` finds them all with Knuth's
+Algorithm X: it keeps a count of the open options of every crossing and
+region, makes forced moves (an item with one option left) without
+branching, cuts a branch when an item has none left, and otherwise
+branches on the item with the fewest options.  The search runs on an
+explicit stack, so a diagram with thousands of crossings does not reach
+the recursion limit, and the states are sorted into canonical order
+afterwards.
+
+The state sum multiplies local weights per crossing and adds over
+states:
 
     generic edge of weight i:  west -> t^(-i/2), east -> t^(i/2),
                                north -> [i] (the quantum integer);
@@ -33,35 +45,113 @@ State = dict[str, str]
 
 
 def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
-    """All Kauffman states, in canonical order.
+    """All Kauffman states, in canonical order, each as {edge id: corner}.
 
-    Crossings are processed in edge-id order and corners tried north,
-    west, east; regions are claimed exclusively, marked regions are never
-    available.  The result lists each state as {edge id: corner}.
+    An exact-cover search (Algorithm X): the items are the crossings and
+    the unmarked regions, and each option (crossing, corner) covers its
+    crossing and the corner's region.  ``live[x]`` counts the options
+    still open to item x, and every move adjusts the counts of the items
+    next to the two it covers.  An item whose count drops to one or zero
+    goes on a worklist: with one option it is taken without a branch,
+    with none it cuts the branch.  Only when the worklist is empty does
+    the search branch, on the free item with the fewest options.
+    Branches live on an explicit stack, so the depth of the search is
+    not bounded by Python's recursion limit.
+
+    The states are then sorted by the index in ``CORNERS`` of each
+    crossing's corner, taken in ``crossings`` order: the order in which
+    a search over crossings in edge order, corners north, west, east,
+    would find them.
     """
-    edge_ids = diagram.crossings
-    marked = set(diagram.marked)
-    claimed: dict[int, str] = {}
-    choice: dict[str, str] = {}
-    states: list[State] = []
-
-    def assign(i: int) -> None:
-        if i == len(edge_ids):
-            states.append(dict(choice))
-            return
-        eid = edge_ids[i]
+    crossings = diagram.crossings
+    n = len(crossings)
+    marked = diagram.marked
+    corner_region = diagram.corner_region
+    # items 0 .. n-1 are crossings, n + r is region r; options[x] lists
+    # (other item, corner index) for every option covering x
+    options: list[list[tuple[int, int]]] = [
+        [] for _ in range(n + len(diagram.regions))
+    ]
+    for i, eid in enumerate(crossings):
         for corner in diagram.admissible_corners(eid):
-            region = diagram.corner_region[eid, corner]
-            if region in marked or region in claimed:
-                continue
-            claimed[region] = eid
-            choice[eid] = corner
-            assign(i + 1)
-            del claimed[region]
-            del choice[eid]
+            region = corner_region[eid, corner]
+            if region not in marked:
+                c = CORNERS.index(corner)
+                options[i].append((n + region, c))
+                options[n + region].append((i, c))
+    live = [len(o) for o in options]
+    free = [True] * len(options)
+    for region in marked:
+        free[n + region] = False
 
-    assign(0)
-    return states
+    choice = [0] * n
+    trail: list[tuple[int, int]] = []  # moves made, undone in reverse
+    forced = [x for x, count in enumerate(live) if count <= 1 and free[x]]
+    found: list[tuple[int, ...]] = []
+
+    def cover(x: int, y: int, c: int) -> None:
+        """Match items x and y by corner c."""
+        free[x] = free[y] = False
+        choice[x if x < n else y] = c
+        trail.append((x, y))
+        for item in (x, y):
+            for z, _ in options[item]:
+                if free[z]:
+                    live[z] -= 1
+                    if live[z] <= 1:
+                        forced.append(z)
+
+    def settle() -> bool:
+        """Make every forced move; False on a dead item."""
+        while forced:
+            x = forced.pop()
+            if not free[x]:
+                continue
+            if live[x] == 0:
+                forced.clear()
+                return False
+            for y, c in options[x]:
+                if free[y]:
+                    break
+            cover(x, y, c)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x, y = trail.pop()
+            for item in (x, y):
+                for z, _ in options[item]:
+                    if free[z]:
+                        live[z] += 1
+            free[x] = free[y] = True
+
+    # a branch frame: [item, its open options, next option, trail mark]
+    stack: list[list] = []
+
+    def descend() -> None:
+        if len(trail) == n:
+            found.append(tuple(choice))
+            return
+        x = min((z for z in range(len(options)) if free[z]), key=live.__getitem__)
+        stack.append([x, [o for o in options[x] if free[o[0]]], 0, len(trail)])
+
+    if settle():
+        descend()
+    while stack:
+        frame = stack[-1]
+        x, open_options, k, mark = frame
+        undo(mark)
+        if k == len(open_options):
+            stack.pop()
+            continue
+        frame[2] = k + 1
+        y, c = open_options[k]
+        cover(x, y, c)
+        if settle():
+            descend()
+
+    found.sort()
+    return [dict(zip(crossings, map(CORNERS.__getitem__, f))) for f in found]
 
 
 def _local_factor(
@@ -188,6 +278,13 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     raises RuntimeError.
     """
     _check_state(diagram, state)
+    return _north_tree(diagram, state)
+
+
+def _north_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
+    """``state_to_tree`` for a state already checked, such as the result
+    of ``tree_to_state``; still raises RuntimeError if the north edges do
+    not form a spanning tree."""
     edges = frozenset(
         eid
         for eid, corner in state.items()

@@ -219,3 +219,11 @@ def equal_up_to_shift(p: HalfLaurent, q: HalfLaurent) -> bool:
         return p.is_zero() and q.is_zero()
     d = q.min_doubled_exp() - p.min_doubled_exp()
     return q == p.shifted(d)
+
+
+def is_symmetric(p: HalfLaurent) -> bool:
+    """True when p(1/t) = ±t^(d/2)·p(t) for some integer d: the
+    exponents sit symmetrically about their centre and the coefficients
+    read the same from both ends, up to one global sign."""
+    mirror = HalfLaurent({-d: c for d, c in p._terms.items()})
+    return equal_up_to_shift(p, mirror) or equal_up_to_shift(-p, mirror)

@@ -33,7 +33,7 @@ from .kauffman import (
     state_weight,
     tree_to_state,
 )
-from .laurent import ONE
+from .laurent import ONE, is_symmetric
 from .planar import decorate
 from .skein import CrossingPattern, verify_skein_t1
 from .spanning import (
@@ -99,9 +99,10 @@ def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
 
 def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
     """On plane diagrams: state sum at t = 1 equals the tree count, the
-    tree/state bijection round-trips both ways, each tree's weight
-    equals its state's weight at t = 1, and each state weight equals the
-    general product of its local weights."""
+    state sum is symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), the tree/state
+    bijection round-trips both ways, each tree's weight equals its
+    state's weight at t = 1, and each state weight equals the general
+    product of its local weights."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):
@@ -110,7 +111,8 @@ def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
         diagram = decorate(m, basepoint)
         trees = enumerate_trees(m.graph, diagram.root)
         states = enumerate_states(diagram)
-        good = state_sum(diagram).eval_one() == balanced_count(m.graph)
+        poly = state_sum(diagram)
+        good = poly.eval_one() == balanced_count(m.graph) and is_symmetric(poly)
         good = good and len(trees) == len(states)
         for tree in trees:
             state = tree_to_state(diagram, tree)

@@ -113,8 +113,9 @@ def enumerate_trees(
     Canonical order is lexicographic in the tuple of chosen edge ids,
     taking non-root vertices in ascending id order.  Backtracks over one
     in-edge per non-root vertex and prunes as soon as a choice closes an
-    oriented cycle.  Raises on an unknown root or a disconnected graph,
-    and applies a size guard unless force is set.
+    oriented cycle; the backtracking is a loop, not a recursion, so deep
+    graphs stay clear of the recursion limit.  Raises on an unknown root
+    or a disconnected graph, and applies a size guard unless force is set.
     """
     if not g.has_vertex(root):
         raise ValueError(f"unknown root {root!r}")
@@ -141,20 +142,30 @@ def enumerate_trees(
                 return False
             w = e.tail
 
-    def extend(i: int) -> None:
+    # the search stands at order[i]; next_option[j] is the index in
+    # candidates[order[j]] to try next on every level j
+    next_option = [0] * len(order)
+    i = 0
+    while i >= 0:
         if i == len(order):
             found.append(
                 SpanningTree(root, frozenset(e.id for e in parent.values()))
             )
-            return
+            i -= 1
+            continue
         v = order[i]
-        for e in candidates[v]:
-            if not closes_cycle(v, e.tail):
-                parent[v] = e
-                extend(i + 1)
-                del parent[v]
-
-    extend(0)
+        parent.pop(v, None)
+        options = candidates[v]
+        k = next_option[i]
+        while k < len(options) and closes_cycle(v, options[k].tail):
+            k += 1
+        if k == len(options):
+            next_option[i] = 0
+            i -= 1
+        else:
+            parent[v] = options[k]
+            next_option[i] = k + 1
+            i += 1
     return found
 
 

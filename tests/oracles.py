@@ -1,14 +1,15 @@
 """Independent brute-force oracles the tests compare against.
 
 Nothing here shares algorithms with the package: trees are found by
-filtering every subset of n - 1 edges against the definition,
-determinants expand over permutations, and polynomial products convolve
-raw coefficient pairs.  Slow on purpose; keep instances small.
+filtering every subset of n - 1 edges against the definition, Kauffman
+states by filtering every corner assignment, determinants expand over
+permutations, and polynomial products convolve raw coefficient pairs.
+Slow on purpose; keep instances small.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def spanning_tree_sets(g, root) -> set[frozenset[str]]:
@@ -49,6 +50,23 @@ def weighted_tree_count(g, root) -> int:
             w *= g.edge(eid).weight
         total += w
     return total
+
+
+def kauffman_states(diagram) -> list[dict[str, str]]:
+    """Every Kauffman state of a decorated diagram, in canonical order.
+
+    The product of each crossing's admissible corners, taken in
+    ``crossings`` order, lists every assignment in canonical order; an
+    assignment is a state when it sends the crossings one-to-one into
+    the unmarked regions (there are as many of those as crossings)."""
+    crossings = diagram.crossings
+    marked = set(diagram.marked)
+    found = []
+    for corners in product(*map(diagram.admissible_corners, crossings)):
+        regions = {diagram.corner_region[e, c] for e, c in zip(crossings, corners)}
+        if len(regions) == len(crossings) and not regions & marked:
+            found.append(dict(zip(crossings, corners)))
+    return found
 
 
 def det_by_permutations(rows) -> int:

@@ -17,7 +17,7 @@ from moytree.kauffman import (
     state_weight,
     tree_to_state,
 )
-from moytree.laurent import equal_up_to_shift, monomial, quantum_integer
+from moytree.laurent import equal_up_to_shift, is_symmetric, monomial, quantum_integer
 from moytree.planar import decorate
 from moytree.selftest import (
     check_main_theorem,
@@ -160,4 +160,20 @@ def test_criterion_9_basepoint_independence_on_random_maps():
         "basepoint independence up to a shift on random maps",
         shifted == pairs,
         f"{maps} maps, shift-equivalent pairs: {shifted}/{pairs}",
+    )
+
+
+def test_criterion_10_state_sum_is_symmetric():
+    rng = random.Random(7)
+    symmetric = total = 0
+    for _ in range(100):
+        m = random_plane_map(rng, max_vertices=8, max_weight=5)
+        for e in m.graph.edges[:3]:
+            total += 1
+            symmetric += is_symmetric(state_sum(decorate(m, e.id)))
+    report(
+        10,
+        "the state sum is symmetric: Δ(1/t) = ±t^(d/2)·Δ(t)",
+        symmetric == total,
+        f"symmetric state sums: {symmetric}/{total}",
     )

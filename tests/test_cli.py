@@ -10,6 +10,7 @@ import pytest
 
 from moytree import cli, spanning
 from moytree.cli import main
+from moytree.generate import seed_cycle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
 
@@ -375,6 +376,24 @@ def test_enumeration_guard_maps_to_usage_error(capsys, tmp_path):
     code, out, _ = run(capsys, ["trees", str(path), "--root", "v00", "--force"])
     assert code == 0
     assert out == "count=1\nweighted=1\n"
+
+
+def test_forced_tree_enumeration_is_not_bounded_by_recursion(capsys, tmp_path):
+    path = tmp_path / "cycle1500.json"
+    path.write_text(document_text(seed_cycle(1500, 1).graph), encoding="utf-8")
+    code, out, err = run(capsys, ["trees", str(path), "--root", "v0", "--force"])
+    assert (code, out, err) == (0, "count=1\nweighted=1\n", "")
+
+
+def test_state_enumeration_is_not_bounded_by_recursion(capsys, tmp_path):
+    path = tmp_path / "cycle3000.json"
+    path.write_text(map_text(seed_cycle(3000, 1), basepoint="e0"), encoding="utf-8")
+    code, out, err = run(capsys, ["states", str(path)])
+    assert (code, err) == (0, "")
+    assert out.endswith("\ncount=1\n")
+    code, out, err = run(capsys, ["alexander", str(path)])
+    # one state: the basepoint's t^(1/2) times [1] at every other crossing
+    assert (code, out, err) == (0, "t^{1/2}\neval@1 = 1\n", "")
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -26,6 +26,7 @@ from moytree.spanning import (
     enumerate_trees,
     tree_weight,
 )
+from oracles import kauffman_states
 
 GOLDEN_STATE = {"e12": "N", "e13": "E", "e21": "W", "e23": "N", "e31": "N"}
 GOLDEN_PAIRS = ((-5, 1), (-3, 2), (-1, 3), (1, 4), (3, 4), (5, 3), (7, 2), (9, 1))
@@ -108,6 +109,17 @@ def test_enumeration_order_is_canonical(lens_map):
         {"e12": "N", "e13": "E", "e21": "N", "e23": "N", "e31": "W"},
         {"e12": "N", "e13": "E", "e21": "E", "e23": "N", "e31": "N"},
     ]
+
+
+def test_enumeration_matches_the_brute_force_oracle(lens_map):
+    diagrams = [decorate(lens_map, e.id) for e in lens_map.graph.edges]
+    rng = random.Random(17)
+    for _ in range(120):
+        # five vertices keep the oracle's 3^E assignments small
+        m = random_plane_map(rng, max_vertices=5, max_weight=4)
+        diagrams += [decorate(m, e.id) for e in m.graph.edges[:3]]
+    for diagram in diagrams:
+        assert enumerate_states(diagram) == kauffman_states(diagram)
 
 
 # -- local weights ---------------------------------------------------------------

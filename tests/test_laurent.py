@@ -13,6 +13,7 @@ from moytree.laurent import (
     ZERO,
     HalfLaurent,
     equal_up_to_shift,
+    is_symmetric,
     monomial,
     quantum_integer,
     quantum_product,
@@ -156,6 +157,19 @@ def test_equal_up_to_shift():
     assert equal_up_to_shift(ZERO, ZERO)
     # same support, different coefficients
     assert not equal_up_to_shift(HalfLaurent({0: 1, 2: 2}), HalfLaurent({0: 2, 2: 1}))
+
+
+def test_is_symmetric():
+    assert is_symmetric(quantum_integer(4).shifted(3))
+    assert is_symmetric(HalfLaurent({-1: 1, 1: -1}))  # odd: one global sign
+    assert is_symmetric(HalfLaurent({0: 1, 2: -3, 4: 1}))
+    assert is_symmetric(monomial(-2, 5))
+    assert is_symmetric(ZERO)
+    assert not is_symmetric(HalfLaurent({0: 1, 2: 2}))
+    # palindromic coefficients on exponents that are not symmetric
+    assert not is_symmetric(HalfLaurent({0: 1, 4: 1, 6: 1}))
+    # a sign flip in the middle only
+    assert not is_symmetric(HalfLaurent({0: 1, 2: -1, 4: 1, 6: 1}))
 
 
 # -- quantum integers ------------------------------------------------------
