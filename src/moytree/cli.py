@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and when a checked identity holds), 1 when
-validation fails or an identity is violated, 2 on usage or IO errors.
-All output is deterministic for a given input file and arguments.
+validation fails or an identity is violated (``IdentityViolation``), 2
+on usage or IO errors, malformed JSON and refused enumeration sizes.
+Any other exception is a bug and propagates with its traceback.  All
+output is deterministic for a given input file and arguments.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .planar import (
     validate_map,
 )
 from .selftest import run_all
-from .skein import CrossingPattern, verify_skein_t1
+from .skein import verify_skein_t1
 from .spanning import (
     EnumerationLimitError,
+    IdentityViolation,
     balanced_count,
     count_by_determinant,
     count_by_enumeration,
@@ -144,8 +147,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_laplacian(args) -> int:
     doc = load_document(args.file)
-    lap = laplacian(doc.graph)
-    for row in lap.rows:
+    for row in laplacian(doc.graph):
         print(" ".join(str(x) for x in row))
     return 0
 
@@ -198,8 +200,7 @@ def _cmd_bijection(args) -> int:
 
 def _cmd_skein(args) -> int:
     doc = load_document(args.file)
-    pattern = CrossingPattern(edge_i=args.edge_i, edge_j=args.edge_j)
-    result = verify_skein_t1(doc.graph, pattern)
+    result = verify_skein_t1(doc.graph, args.edge_i, args.edge_j)
     print(f"N(G)={result.n}")
     print(f"N(G1)={result.n1}")
     print(f"N(G2)={result.n2}")
@@ -314,7 +315,7 @@ def main(argv=None) -> int:
             print(f"validation failed: {exc}", file=sys.stderr)
             return 1
         return _fail_usage(str(exc))
-    except RuntimeError as exc:
+    except IdentityViolation as exc:
         print(f"identity violated: {exc}", file=sys.stderr)
         return 1
 

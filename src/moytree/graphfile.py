@@ -46,7 +46,9 @@ def _expect_str(value, where: str) -> str:
 def parse_document(text: str) -> GraphDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers syntax errors and integers past the digit
+        # limit; RecursionError, nesting deeper than the decoder goes
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise FormatError("top level: expected a JSON object")

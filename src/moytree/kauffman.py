@@ -39,7 +39,7 @@ from collections import deque
 
 from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
-from .spanning import SpanningTree, _validate_tree
+from .spanning import IdentityViolation, SpanningTree, _validate_tree
 
 State = dict[str, str]
 
@@ -213,7 +213,7 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
     dual spanning forest; growing it breadth-first from the two marked
     faces over ``corner_region``, each dual edge crossed out of a grown
     face gives its crossing the corner on the far side.  A result that
-    is not a state violates the correspondence: RuntimeError.
+    is not a state violates the correspondence: IdentityViolation.
     """
     g = diagram.map.graph
     if tree.root != diagram.root:
@@ -246,7 +246,7 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
     try:
         _check_state(diagram, state)
     except ValueError as exc:
-        raise RuntimeError(f"tree does not induce a state: {exc}") from exc
+        raise IdentityViolation(f"tree does not induce a state: {exc}") from exc
     return state
 
 
@@ -275,7 +275,7 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     Validates that the input is a genuine state, then re-validates the
     resulting edge set as a spanning tree rooted at head(basepoint); a
     failure of the latter would contradict the correspondence theorem and
-    raises RuntimeError.
+    raises IdentityViolation.
     """
     _check_state(diagram, state)
     return _north_tree(diagram, state)
@@ -283,8 +283,8 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
 
 def _north_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     """``state_to_tree`` for a state already checked, such as the result
-    of ``tree_to_state``; still raises RuntimeError if the north edges do
-    not form a spanning tree."""
+    of ``tree_to_state``; still raises IdentityViolation if the north
+    edges do not form a spanning tree."""
     edges = frozenset(
         eid
         for eid, corner in state.items()
@@ -294,5 +294,5 @@ def _north_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     try:
         _validate_tree(diagram.map.graph, tree)
     except ValueError as exc:
-        raise RuntimeError(f"state does not induce a spanning tree: {exc}") from exc
+        raise IdentityViolation(f"state does not induce a spanning tree: {exc}") from exc
     return tree

@@ -27,7 +27,6 @@ connectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,19 +34,11 @@ from .graph import DirectedMultigraph, Edge, fresh_id, is_balanced, is_connected
 from .spanning import root_free_count
 
 
-@dataclass(frozen=True)
-class CrossingPattern:
-    """Two distinct edges treated as the strands of one crossing."""
-
-    edge_i: str
-    edge_j: str
-
-
-def _pattern_edges(g: DirectedMultigraph, pattern: CrossingPattern):
-    if pattern.edge_i == pattern.edge_j:
+def _pattern_edges(g: DirectedMultigraph, edge_i: str, edge_j: str):
+    if edge_i == edge_j:
         raise ValueError("pattern needs two distinct edges")
-    ei = g.edge(pattern.edge_i)
-    ej = g.edge(pattern.edge_j)
+    ei = g.edge(edge_i)
+    ej = g.edge(edge_j)
     if ei.weight < 1 or ej.weight < 1:
         raise ValueError("pattern edges must carry positive weights")
     return ei, ej
@@ -65,9 +56,9 @@ def _gadget_names(g: DirectedMultigraph) -> tuple[str, str, list[str]]:
     return v1, v2, edge_ids
 
 
-def resolve_G1(g: DirectedMultigraph, pattern: CrossingPattern) -> DirectedMultigraph:
+def resolve_G1(g: DirectedMultigraph, edge_i: str, edge_j: str) -> DirectedMultigraph:
     """The oriented smoothing of the crossing (parallel strands)."""
-    ei, ej = _pattern_edges(g, pattern)
+    ei, ej = _pattern_edges(g, edge_i, edge_j)
     i, j = ei.weight, ej.weight
     c, b, d, a = ei.tail, ei.head, ej.tail, ej.head
     if j < i:
@@ -85,10 +76,10 @@ def resolve_G1(g: DirectedMultigraph, pattern: CrossingPattern) -> DirectedMulti
     return DirectedMultigraph(list(g.vertices) + [v1, v2], edges)
 
 
-def resolve_G2(g: DirectedMultigraph, pattern: CrossingPattern) -> DirectedMultigraph:
+def resolve_G2(g: DirectedMultigraph, edge_i: str, edge_j: str) -> DirectedMultigraph:
     """The merged resolution: both strands pass through one edge of
     weight i + j."""
-    ei, ej = _pattern_edges(g, pattern)
+    ei, ej = _pattern_edges(g, edge_i, edge_j)
     i, j = ei.weight, ej.weight
     c, b, d, a = ei.tail, ei.head, ej.tail, ej.head
     v1, v2, (r1, r2, r3, r4, r5) = _gadget_names(g)
@@ -111,8 +102,9 @@ class SkeinCheck(NamedTuple):
     residual: Fraction
 
 
-def verify_skein_t1(g: DirectedMultigraph, pattern: CrossingPattern) -> SkeinCheck:
-    """Check the t = 1 identity for one crossing pattern, exactly.
+def verify_skein_t1(g: DirectedMultigraph, edge_i: str, edge_j: str) -> SkeinCheck:
+    """Check the t = 1 identity for the crossing of edge_i and edge_j,
+    exactly.
 
     Requires g connected, balanced, with positive weights.  Returns the
     three counts and the residual N(G) - rhs as an exact rational; the
@@ -125,11 +117,11 @@ def verify_skein_t1(g: DirectedMultigraph, pattern: CrossingPattern) -> SkeinChe
     bad = [e.id for e in g.edges if e.weight < 1]
     if bad:
         raise ValueError(f"weights must be positive; offending edges: {bad}")
-    ei, ej = _pattern_edges(g, pattern)
+    ei, ej = _pattern_edges(g, edge_i, edge_j)
     i, j = ei.weight, ej.weight
     n = root_free_count(g)
-    n1 = root_free_count(resolve_G1(g, pattern))
-    n2 = root_free_count(resolve_G2(g, pattern))
+    n1 = root_free_count(resolve_G1(g, edge_i, edge_j))
+    n2 = root_free_count(resolve_G2(g, edge_i, edge_j))
     rhs = Fraction(-n1, i * j) + Fraction(n2, min(i, j) * (i + j))
     residual = Fraction(n) - rhs
     return SkeinCheck(residual == 0, n, n1, n2, residual)

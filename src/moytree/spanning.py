@@ -31,6 +31,11 @@ class EnumerationLimitError(RuntimeError):
     """Raised when enumeration would be too large and force is not set."""
 
 
+class IdentityViolation(RuntimeError):
+    """Two backends that must agree exactly did not: a checked identity
+    failed."""
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """A rooted oriented spanning tree, stored as its edge-id set."""
@@ -67,15 +72,17 @@ def _validate_tree(g: DirectedMultigraph, tree: SpanningTree) -> list:
         if v != tree.root and v not in parent:
             raise ValueError(f"invalid tree: no edge enters {v!r}")
     # With in-degree 1 everywhere off the root, acyclicity is equivalent
-    # to every parent chain ending at the root.
-    for v in g.vertices:
-        seen = set()
-        w = v
-        while w != tree.root:
-            if w in seen:
-                raise ValueError("invalid tree: oriented cycle present")
-            seen.add(w)
-            w = parent[w]
+    # to every parent chain ending at the root.  Walk k marks each vertex
+    # it passes with k and stops at the first marked one: a mark from an
+    # earlier walk means the root is reached, its own mark means a cycle.
+    # Each vertex is marked once, so the check is linear.
+    walk_of = {tree.root: -1}
+    for k, v in enumerate(g.vertices):
+        while v not in walk_of:
+            walk_of[v] = k
+            v = parent[v]
+        if walk_of[v] == k:
+            raise ValueError("invalid tree: oriented cycle present")
     return edges
 
 
@@ -179,36 +186,22 @@ def count_by_enumeration(
     return total
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Weighted Laplacian, rows/columns in canonical vertex order.
+def laplacian(g: DirectedMultigraph) -> tuple[tuple[int, ...], ...]:
+    """The weighted Laplacian as a tuple of rows, in ``g.vertices`` order.
 
     Entry (i, j) for i != j is minus the total weight of edges from
     vertex i to vertex j; the diagonal entry (j, j) is the total weight
     of edges into vertex j.  Self-loops contribute nothing.
     """
-
-    order: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
-def laplacian(g: DirectedMultigraph) -> Laplacian:
     idx = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
-    a = [[0] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for e in g.edges:
         if e.tail != e.head:
-            a[idx[e.tail]][idx[e.head]] += e.weight
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(sum(a[k][j] for k in range(n)))
-            else:
-                row.append(-a[i][j])
-        rows.append(tuple(row))
-    return Laplacian(order=g.vertices, rows=tuple(rows))
+            t, h = idx[e.tail], idx[e.head]
+            rows[t][h] -= e.weight
+            rows[h][h] += e.weight
+    return tuple(map(tuple, rows))
 
 
 def det_bareiss(rows) -> int:
@@ -251,19 +244,19 @@ def det_bareiss(rows) -> int:
     return sign * m[0][0]
 
 
-def _minor(lap: Laplacian, i: int, j: int) -> list[list[int]]:
-    """The Laplacian with row i and column j deleted."""
+def _minor(rows, i: int, j: int) -> list[list[int]]:
+    """The matrix with row i and column j deleted."""
     return [
         [x for jj, x in enumerate(row) if jj != j]
-        for ii, row in enumerate(lap.rows)
+        for ii, row in enumerate(rows)
         if ii != i
     ]
 
 
-def cofactor(lap: Laplacian, i: int, j: int) -> int:
-    """Signed (i, j) cofactor of the Laplacian."""
+def cofactor(rows, i: int, j: int) -> int:
+    """Signed (i, j) cofactor of the matrix."""
     sign = -1 if (i + j) % 2 else 1
-    return sign * det_bareiss(_minor(lap, i, j))
+    return sign * det_bareiss(_minor(rows, i, j))
 
 
 def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
@@ -275,9 +268,8 @@ def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
     """
     if not g.has_vertex(root):
         raise ValueError(f"unknown root {root!r}")
-    lap = laplacian(g)
-    index = lap.order.index(root)
-    return det_bareiss(_minor(lap, index, index))
+    index = g.vertices.index(root)
+    return det_bareiss(_minor(laplacian(g), index, index))
 
 
 def root_free_count(g: DirectedMultigraph) -> int:
@@ -300,21 +292,21 @@ def root_free_count(g: DirectedMultigraph) -> int:
     is not automatic: for a -> b, b -> c, a -> c the sum is 2 against
     n * N(r) = 6, 0, 0 over the roots.  A wrong value from either
     determinant breaks the equation too, unless the two errors happen
-    to match.  A mismatch raises RuntimeError.
+    to match.  A mismatch raises IdentityViolation.
 
     Connectivity is not required: a disconnected balanced graph has
     every cofactor 0, so both sides are 0 and it counts 0.
     """
     if not is_balanced(g):
         raise ValueError("graph is not balanced")
-    lap = laplacian(g)
-    n = len(lap.order)
-    count = det_bareiss(_minor(lap, 0, 0))
-    total = det_bareiss([[x + 1 for x in lap.rows[0]], *lap.rows[1:]])
+    first, *rest = laplacian(g)
+    n = len(g.vertices)
+    count = det_bareiss([row[1:] for row in rest])
+    total = det_bareiss([[x + 1 for x in first], *rest])
     if total != n * count:
-        raise RuntimeError(
+        raise IdentityViolation(
             "root-dependent counts on a balanced graph: "
-            f"N({lap.order[0]})={count} but the sum over roots is "
+            f"N({g.vertices[0]})={count} but the sum over roots is "
             f"{total} != {n}*N"
         )
     return count

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,33 @@ def host_file(tmp_path):
     return str(path)
 
 
+def _swapped_rotation(lens_map) -> str:
+    doc = json.loads(map_text(lens_map, basepoint="e23"))
+    rotation = doc["rotation"]
+    rotation["v1"], rotation["v2"] = rotation["v2"], rotation["v1"]
+    return json.dumps(doc)
+
+
+def _bridge_diagram() -> str:
+    g = DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 1)])
+    doc = json.loads(document_text(g))
+    doc["rotation"] = {"a": ["e:t"], "b": ["e:h"]}
+    doc["basepoint"] = "e"
+    return json.dumps(doc)
+
+
+def _cycle13() -> str:
+    vs = [f"v{i:02d}" for i in range(13)]
+    es = [Edge(f"e{i:02d}", vs[i], vs[(i + 1) % 13], 1) for i in range(13)]
+    return document_text(DirectedMultigraph(vs, es))
+
+
+def _corrupt_reduced_determinant(monkeypatch) -> None:
+    # the 2x2 reduced determinant of the lens, not the 3x3 certificate
+    real = spanning.det_bareiss
+    monkeypatch.setattr(spanning, "det_bareiss", lambda rows: real(rows) + (len(rows) == 2))
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -88,9 +116,7 @@ def test_count_by_enumeration_takes_no_determinant(capsys, lens_file, monkeypatc
 def test_count_certificate_mismatch_is_identity_violation(
     capsys, lens_file, monkeypatch
 ):
-    real = spanning.det_bareiss
-    # corrupt the 2x2 reduced determinant, not the 3x3 certificate
-    monkeypatch.setattr(spanning, "det_bareiss", lambda rows: real(rows) + (len(rows) == 2))
+    _corrupt_reduced_determinant(monkeypatch)
     code, out, err = run(capsys, ["count", lens_file, "--method", "det"])
     assert (code, out) == (1, "")
     assert err.startswith("identity violated: root-dependent counts")
@@ -230,25 +256,16 @@ def test_diagram_commands_reject_unknown_edge(capsys, tmp_path, lens_map, comman
 
 
 def test_alexander_rejects_bridge_diagrams(capsys, tmp_path):
-    g = DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 1)])
-    doc = json.loads(document_text(g))
-    doc["rotation"] = {"a": ["e:t"], "b": ["e:h"]}
-    doc["basepoint"] = "e"
     path = tmp_path / "bridge.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(_bridge_diagram(), encoding="utf-8")
     code, _, err = run(capsys, ["alexander", str(path)])
     assert code == 1
     assert "validation failed" in err and "bridge" in err
 
 
 def test_alexander_rejects_broken_rotation(capsys, tmp_path, lens_map):
-    doc = json.loads(map_text(lens_map, basepoint="e23"))
-    doc["rotation"]["v1"], doc["rotation"]["v2"] = (
-        doc["rotation"]["v2"],
-        doc["rotation"]["v1"],
-    )
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(_swapped_rotation(lens_map), encoding="utf-8")
     code, _, err = run(capsys, ["alexander", str(path)])
     assert code == 1
     assert "validation failed" in err
@@ -365,11 +382,8 @@ def test_subdivide_check_golden(capsys, lens_file):
 
 
 def test_enumeration_guard_maps_to_usage_error(capsys, tmp_path):
-    n = 13
-    vs = [f"v{i:02d}" for i in range(n)]
-    es = [Edge(f"e{i:02d}", vs[i], vs[(i + 1) % n], 1) for i in range(n)]
     path = tmp_path / "big.json"
-    path.write_text(document_text(DirectedMultigraph(vs, es)), encoding="utf-8")
+    path.write_text(_cycle13(), encoding="utf-8")
     code, _, err = run(capsys, ["trees", str(path), "--root", "v00"])
     assert code == 2
     assert "enumeration limit" in err
@@ -408,6 +422,69 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, ["count", str(path)])
     assert code == 2
     assert "not valid JSON" in err
+
+
+# -- the exit-code contract ----------------------------------------------------------
+
+
+# failure class: (file text from lens_map, command and flags, patch, rc, stderr prefix)
+EXIT_CODES = {
+    "FormatError": (lambda _: '{"vertices": []}', ["count"], None, 2, "error:"),
+    "MapStructureError": (_swapped_rotation, ["alexander"], None, 1, "validation failed:"),
+    "DiagramError": (
+        lambda _: _bridge_diagram(), ["alexander"], None, 1, "validation failed:"
+    ),
+    "IdentityViolation": (
+        lambda m: map_text(m, basepoint="e23"),
+        ["count", "--method", "det"],
+        _corrupt_reduced_determinant,
+        1,
+        "identity violated:",
+    ),
+    "EnumerationLimitError": (
+        lambda _: _cycle13(), ["trees", "--root", "v00"], None, 2, "error:"
+    ),
+    "unknown-root": (
+        lambda m: map_text(m, basepoint="e23"), ["count", "--root", "zz"], None, 2, "error:"
+    ),
+    "deep-json": (lambda _: "[" * 100000, ["validate"], None, 2, "error: not valid JSON"),
+    "long-int": (
+        lambda _: '{"vertices": [], "edges": [], "basepoint": ' + "9" * 5000 + "}",
+        ["validate"],
+        None,
+        2,
+        "error: not valid JSON",
+    ),
+}
+NO_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [pytest.param(k, marks=NO_DIGIT_LIMIT) if k == "long-int" else k for k in EXIT_CODES],
+)
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, lens_map, failure):
+    text, (command, *flags), patch, rc, prefix = EXIT_CODES[failure]
+    path = tmp_path / "input.json"
+    path.write_text(text(lens_map), encoding="utf-8")
+    if patch is not None:
+        patch(monkeypatch)
+    code, out, err = run(capsys, [command, str(path), *flags])
+    assert (code, out) == (rc, "")
+    assert err.startswith(prefix)
+
+
+def test_an_unexpected_runtime_error_is_a_bug_not_an_identity_violation(
+    lens_file, monkeypatch
+):
+    def boom(diagram):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "enumerate_states", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["states", lens_file])
 
 
 def test_selftest_smoke(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -80,6 +81,16 @@ def reject(text: str, needle: str) -> None:
 
 def test_rejects_invalid_json():
     reject("{", "not valid JSON")
+    # nesting deeper than the decoder's recursion limit
+    reject("[" * 100000, "not valid JSON: maximum recursion depth")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_rejects_integers_past_the_digit_limit():
+    text = '{"vertices": [], "edges": [], "basepoint": ' + "9" * 5000 + "}"
+    reject(text, "not valid JSON: Exceeds the limit")
 
 
 def test_rejects_non_object_top_level():

@@ -11,6 +11,7 @@ import pytest
 from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
+    _north_tree,
     enumerate_states,
     local_weight,
     state_sum,
@@ -21,6 +22,7 @@ from moytree.kauffman import (
 from moytree.laurent import ONE, equal_up_to_shift, monomial, quantum_integer
 from moytree.planar import CombinatorialMap, Dart, decorate
 from moytree.spanning import (
+    IdentityViolation,
     SpanningTree,
     balanced_count,
     enumerate_trees,
@@ -224,8 +226,16 @@ def test_tree_to_state_result_that_is_no_state_is_identity_violation(
     # corner: the dual traversal can no longer yield a state.
     lens_diagram.corner_region[edge, side] = lens_diagram.corner_region[edge, other]
     (tree,) = enumerate_trees(lens_graph, "v3")
-    with pytest.raises(RuntimeError, match="tree does not induce a state"):
+    with pytest.raises(IdentityViolation, match="tree does not induce a state"):
         tree_to_state(lens_diagram, tree)
+
+
+def test_north_edges_that_are_no_tree_are_identity_violation(lens_diagram):
+    # _north_tree trusts its state; all five crossings north leaves four
+    # tree edges for three vertices
+    state = dict.fromkeys(lens_diagram.crossings, "N")
+    with pytest.raises(IdentityViolation, match="state does not induce a spanning tree"):
+        _north_tree(lens_diagram, state)
 
 
 # -- bijection on random diagrams ------------------------------------------------------

@@ -9,16 +9,11 @@ import pytest
 
 from moytree.generate import random_balanced_graph
 from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
-from moytree.skein import (
-    CrossingPattern,
-    resolve_G1,
-    resolve_G2,
-    verify_skein_t1,
-)
+from moytree.skein import resolve_G1, resolve_G2, verify_skein_t1
 from moytree.spanning import count_by_determinant
 
 
-def host(i: int, j: int) -> tuple[DirectedMultigraph, CrossingPattern]:
+def host(i: int, j: int) -> tuple[DirectedMultigraph, tuple[str, str]]:
     """Two 2-cycles sharing y; the pattern crosses one edge of each."""
     g = DirectedMultigraph(
         ["x", "y", "z"],
@@ -29,7 +24,7 @@ def host(i: int, j: int) -> tuple[DirectedMultigraph, CrossingPattern]:
             Edge("zy", "z", "y", j),
         ],
     )
-    return g, CrossingPattern(edge_i="xy", edge_j="zy")
+    return g, ("xy", "zy")
 
 
 def edge_map(g: DirectedMultigraph) -> dict[str, tuple[str, str, int]]:
@@ -41,7 +36,7 @@ def edge_map(g: DirectedMultigraph) -> dict[str, tuple[str, str, int]]:
 
 def test_resolve_G1_structure_for_i_less_than_j():
     g, pattern = host(2, 3)
-    g1 = resolve_G1(g, pattern)
+    g1 = resolve_G1(g, *pattern)
     assert set(g1.vertices) == {"x", "y", "z", "w1", "w2"}
     assert edge_map(g1) == {
         "yx": ("y", "x", 2),
@@ -56,7 +51,7 @@ def test_resolve_G1_structure_for_i_less_than_j():
 
 def test_resolve_G1_structure_for_j_less_than_i():
     g, pattern = host(3, 2)
-    g1 = resolve_G1(g, pattern)
+    g1 = resolve_G1(g, *pattern)
     assert edge_map(g1) == {
         "yx": ("y", "x", 3),
         "yz": ("y", "z", 2),
@@ -70,14 +65,14 @@ def test_resolve_G1_structure_for_j_less_than_i():
 
 def test_resolve_G1_equal_weights_omits_the_bridge_edge():
     g, pattern = host(2, 2)
-    g1 = resolve_G1(g, pattern)
+    g1 = resolve_G1(g, *pattern)
     assert not g1.has_edge("r5")
     assert len(g1.edges) == 6
 
 
 def test_resolve_G2_structure():
     g, pattern = host(2, 3)
-    g2 = resolve_G2(g, pattern)
+    g2 = resolve_G2(g, *pattern)
     assert edge_map(g2) == {
         "yx": ("y", "x", 2),
         "yz": ("y", "z", 3),
@@ -95,10 +90,10 @@ def test_resolutions_preserve_balance():
         g = random_balanced_graph(rng, min_vertices=2, max_vertices=5, max_weight=4)
         if len(g.edges) < 2:
             continue
-        pattern = CrossingPattern(*rng.sample([e.id for e in g.edges], 2))
-        assert is_balanced(resolve_G1(g, pattern))
-        assert is_balanced(resolve_G2(g, pattern))
-        assert is_connected(resolve_G2(g, pattern))
+        pattern = rng.sample([e.id for e in g.edges], 2)
+        assert is_balanced(resolve_G1(g, *pattern))
+        assert is_balanced(resolve_G2(g, *pattern))
+        assert is_connected(resolve_G2(g, *pattern))
 
 
 def test_resolution_names_avoid_collisions(make_graph):
@@ -110,7 +105,7 @@ def test_resolution_names_avoid_collisions(make_graph):
             ("e3", "z", "w1", 1),
         ],
     )
-    g2 = resolve_G2(g, CrossingPattern("r1", "e2"))
+    g2 = resolve_G2(g, "r1", "e2")
     assert g2.has_vertex("w1'") and g2.has_vertex("w2")
     assert g2.has_edge("r1'")
 
@@ -118,12 +113,12 @@ def test_resolution_names_avoid_collisions(make_graph):
 def test_pattern_validation(make_graph):
     g, _ = host(1, 2)
     with pytest.raises(ValueError, match="two distinct edges"):
-        resolve_G1(g, CrossingPattern("xy", "xy"))
+        resolve_G1(g, "xy", "xy")
     with pytest.raises(ValueError, match="unknown edge"):
-        resolve_G1(g, CrossingPattern("xy", "zz"))
+        resolve_G1(g, "xy", "zz")
     zero = make_graph(["a", "b"], [("e", "a", "b", 0), ("f", "b", "a", 0)])
     with pytest.raises(ValueError, match="positive weights"):
-        resolve_G1(zero, CrossingPattern("e", "f"))
+        resolve_G1(zero, "e", "f")
 
 
 # -- the identity ------------------------------------------------------------
@@ -133,18 +128,18 @@ def test_identity_on_the_weight_grid():
     for i in range(1, 5):
         for j in range(1, 5):
             g, pattern = host(i, j)
-            check = verify_skein_t1(g, pattern)
+            check = verify_skein_t1(g, *pattern)
             assert check.holds, (i, j, check)
             assert check.residual == Fraction(0)
 
 
 def test_equal_weights_can_disconnect_the_smoothing(make_graph):
     g = make_graph(["a", "b"], [("ab", "a", "b", 1), ("ba", "b", "a", 1)])
-    pattern = CrossingPattern("ab", "ba")
-    g1 = resolve_G1(g, pattern)
+    pattern = ("ab", "ba")
+    g1 = resolve_G1(g, *pattern)
     assert not is_connected(g1)
     assert is_balanced(g1)
-    check = verify_skein_t1(g, pattern)
+    check = verify_skein_t1(g, *pattern)
     assert check == (True, 1, 0, 2, Fraction(0))
 
 
@@ -155,8 +150,8 @@ def test_identity_on_random_instances():
         g = random_balanced_graph(rng, min_vertices=2, max_vertices=5, max_weight=4)
         if len(g.edges) < 2:
             continue
-        pattern = CrossingPattern(*rng.sample([e.id for e in g.edges], 2))
-        assert verify_skein_t1(g, pattern).holds
+        pattern = rng.sample([e.id for e in g.edges], 2)
+        assert verify_skein_t1(g, *pattern).holds
         done += 1
 
 
@@ -165,24 +160,24 @@ def test_identity_rejects_bad_hosts(make_graph):
         ["a", "b"], [("e", "a", "b", 2), ("f", "b", "a", 1)]
     )
     with pytest.raises(ValueError, match="not balanced"):
-        verify_skein_t1(unbalanced, CrossingPattern("e", "f"))
+        verify_skein_t1(unbalanced, "e", "f")
     disconnected = make_graph(
         ["a", "b", "c", "d"],
         [("e1", "a", "b", 1), ("e2", "b", "a", 1), ("f1", "c", "d", 1), ("f2", "d", "c", 1)],
     )
     with pytest.raises(ValueError, match="not connected"):
-        verify_skein_t1(disconnected, CrossingPattern("e1", "f1"))
+        verify_skein_t1(disconnected, "e1", "f1")
     zero = make_graph(
         ["a", "b"],
         [("e", "a", "b", 0), ("f", "b", "a", 0), ("g", "a", "b", 1), ("h", "b", "a", 1)],
     )
     with pytest.raises(ValueError, match="must be positive"):
-        verify_skein_t1(zero, CrossingPattern("g", "h"))
+        verify_skein_t1(zero, "g", "h")
 
 
 def test_resolved_counts_are_root_independent():
     # G1 can disconnect, yet balance still forces equal counts at every root
     g, pattern = host(2, 2)
-    g1 = resolve_G1(g, pattern)
+    g1 = resolve_G1(g, *pattern)
     counts = {count_by_determinant(g1, r) for r in g1.vertices}
     assert len(counts) == 1

@@ -9,7 +9,7 @@ import pytest
 from moytree import spanning
 from moytree.generate import random_balanced_graph, random_connected_digraph
 from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
-from moytree.skein import CrossingPattern, resolve_G1
+from moytree.skein import resolve_G1
 from moytree.spanning import (
     EnumerationLimitError,
     SpanningTree,
@@ -50,16 +50,15 @@ def test_lens_counts_agree_everywhere(lens_graph):
 
 
 def test_lens_laplacian_matrix(lens_graph):
-    lap = laplacian(lens_graph)
-    assert lap.order == ("v1", "v2", "v3")
-    assert lap.rows == ((6, -5, -1), (-2, 5, -3), (-4, 0, 4))
+    assert lens_graph.vertices == ("v1", "v2", "v3")
+    assert laplacian(lens_graph) == ((6, -5, -1), (-2, 5, -3), (-4, 0, 4))
 
 
 def test_lens_all_nine_cofactors_equal(lens_graph):
-    lap = laplacian(lens_graph)
+    rows = laplacian(lens_graph)
     for i in range(3):
         for j in range(3):
-            assert cofactor(lap, i, j) == 20
+            assert cofactor(rows, i, j) == 20
 
 
 # -- tree weight and validation ---------------------------------------------
@@ -95,6 +94,23 @@ def test_tree_weight_rejects_malformed_trees(make_graph):
         tree_weight(g, SpanningTree("c", frozenset({"ba", "ca"})))
     with pytest.raises(ValueError, match="oriented cycle"):
         tree_weight(g, SpanningTree("c", frozenset({"ab", "ba"})))
+    # a long chain from the root is walked first; the 2-cycle a <-> b and
+    # the vertex d hanging off it never reach the root
+    path = ["r", *(f"c{i}" for i in range(50))]
+    records = [(f"p{i}", path[i], path[i + 1], 1) for i in range(len(path) - 1)]
+    records += [("ab", "a", "b", 1), ("ba", "b", "a", 1), ("ad", "a", "d", 1)]
+    g = make_graph([*path, "d", "a", "b"], records)
+    with pytest.raises(ValueError, match="oriented cycle present"):
+        tree_weight(g, SpanningTree("r", frozenset(eid for eid, *_ in records)))
+
+
+def test_tree_validation_walks_a_deep_path_once():
+    # walking every vertex's parent chain afresh would take n^2 / 2 steps
+    n = 20000
+    vs = [f"v{i}" for i in range(n)]
+    es = [Edge(f"e{i}", vs[i - 1], vs[i], 1 + i % 2) for i in range(1, n)]
+    g = DirectedMultigraph(vs, es)
+    assert tree_weight(g, SpanningTree("v0", frozenset(e.id for e in es))) == 2 ** (n // 2)
 
 
 def test_self_loops_never_enter_trees(make_graph):
@@ -176,13 +192,12 @@ def test_laplacian_rows_and_columns_sum_to_zero_iff_balanced(make_graph):
     rng = random.Random(33)
     for _ in range(30):
         g = random_balanced_graph(rng, max_vertices=6)
-        lap = laplacian(g)
-        n = len(lap.order)
-        assert all(sum(row) == 0 for row in lap.rows)
-        assert all(sum(lap.rows[i][j] for i in range(n)) == 0 for j in range(n))
+        rows = laplacian(g)
+        assert len(rows) == len(g.vertices)
+        assert all(sum(row) == 0 for row in rows)
+        assert all(sum(column) == 0 for column in zip(*rows))
     unbalanced = make_graph(["a", "b"], [("e", "a", "b", 1)])
-    lap = laplacian(unbalanced)
-    assert any(sum(row) != 0 for row in lap.rows)
+    assert any(sum(row) != 0 for row in laplacian(unbalanced))
 
 
 def test_laplacian_ignores_self_loops(make_graph):
@@ -191,12 +206,12 @@ def test_laplacian_ignores_self_loops(make_graph):
         ["a", "b"],
         [("e", "a", "b", 2), ("f", "b", "a", 2), ("l", "a", "a", 9)],
     )
-    assert laplacian(g).rows == laplacian(g_loop).rows
+    assert laplacian(g) == laplacian(g_loop)
 
 
 def test_laplacian_sums_parallel_edges(make_graph):
     g = make_graph(["a", "b"], [("e1", "a", "b", 2), ("e2", "a", "b", 3), ("f", "b", "a", 5)])
-    assert laplacian(g).rows == ((5, -5), (-5, 5))
+    assert laplacian(g) == ((5, -5), (-5, 5))
 
 
 # -- determinant backend ------------------------------------------------------
@@ -297,14 +312,14 @@ def test_balanced_counts_are_root_independent():
 
 def _root_sum(g) -> int:
     """det(L + e_0 1^T), L with 1 added to row 0, by the permutation oracle."""
-    first, *rest = laplacian(g).rows
+    first, *rest = laplacian(g)
     return det_by_permutations([[x + 1 for x in first], *rest])
 
 
 def _disconnected_smoothing() -> DirectedMultigraph:
     # G1 of a 2-cycle's two edges, i = j: no bridge edge, two components
     host = DirectedMultigraph(["a", "b"], [Edge("ab", "a", "b", 3), Edge("ba", "b", "a", 3)])
-    return resolve_G1(host, CrossingPattern(edge_i="ab", edge_j="ba"))
+    return resolve_G1(host, "ab", "ba")
 
 
 def test_certificate_is_n_times_the_count_on_balanced_graphs():
