@@ -125,8 +125,7 @@ def _cmd_count(args) -> int:
     g = doc.graph
     if args.root is None:
         if not is_balanced(g):
-            print("count requires --root on an unbalanced graph", file=sys.stderr)
-            return 1
+            return _fail_usage("count requires --root on an unbalanced graph")
         root = g.vertices[0]
     elif not g.has_vertex(args.root):
         raise ValueError(f"unknown root {args.root!r}")

@@ -78,8 +78,8 @@ def check_matrix_tree(seed: int, trials: int = 200) -> CheckResult:
 def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
     """Balanced graphs count the same from every root, and that count is
     the certified root-free one; a deliberately unbalanced instance must
-    depend on the root.  This all-roots sweep is the oracle for the
-    two-determinant root_free_count."""
+    depend on the root.  This all-roots sweep is the oracle for
+    root_free_count, which reads N and n * N off one elimination."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):

@@ -18,8 +18,8 @@ satisfy
   N(G) = -1/(i*j) * N(G1) + 1/(min(i, j)*(i+j)) * N(G2),
 
 verified in exact rational arithmetic.  Each count is the certified
-``spanning.root_free_count``: one reduced determinant checked against
-a second that sums the counts over all roots.  G1 with i = j can
+``spanning.root_free_count``: one elimination whose last pivot is N and
+whose determinant sums the counts over all roots.  G1 with i = j can
 disconnect the graph; its count is then 0 (all cofactors vanish, and so
 does the sum), which the identity absorbs, so counts here never require
 connectivity.

@@ -11,10 +11,10 @@ The determinant uses fraction-free Bareiss elimination over Python ints,
 so results are exact for any integer weights, including zero and
 negative ones.  For balanced graphs every row and column of the
 Laplacian sums to zero, hence all cofactors agree and N is independent
-of the root.  The root-free count therefore takes one reduced
-determinant and certifies it with one more, of the Laplacian with 1
-added to every entry of its first row, instead of comparing all n roots
-(see ``root_free_count``).
+of the root.  The root-free count therefore takes one elimination, of
+the Laplacian with 1 added to its first row and that vertex moved last:
+its determinant is the sum of all n root counts, n * N, and its last
+pivot is the leading minor, N itself (see ``root_free_count``).
 """
 
 from __future__ import annotations
@@ -204,13 +204,19 @@ def laplacian(g: DirectedMultigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def det_bareiss(rows) -> int:
-    """Exact determinant of a square integer matrix; 1 for the 0x0 case.
+def bareiss(rows) -> tuple[int, int]:
+    """The leading (n-1) x (n-1) principal minor and the determinant of a
+    square integer matrix, from one elimination; (1, 1) for the 0x0 case.
 
     Fraction-free Bareiss elimination: every division is exact, so the
     whole computation stays in arbitrary-precision ints.  Each step
     eliminates the first column of the active block and keeps only the
-    trailing entries of the rows below the pivot.
+    trailing entries of the rows below the pivot.  By Sylvester's
+    identity the pivot of step k is the leading k x k minor of the
+    row-swapped matrix, so the last pivot, taken when two rows remain,
+    is the leading minor up to the sign of the swaps.  The search takes
+    the last row only when every row above it is 0 in the pivot column,
+    which makes the leading block singular: its minor is then 0.
     """
     m = list(rows)
     n = len(m)
@@ -218,8 +224,8 @@ def det_bareiss(rows) -> int:
         if len(row) != n:
             raise ValueError("matrix must be square")
     if n == 0:
-        return 1
-    sign = 1
+        return 1, 1
+    sign = minor_sign = 1
     prev = 1
     while len(m) > 1:
         if m[0][0] == 0:
@@ -227,9 +233,10 @@ def det_bareiss(rows) -> int:
                 if m[i][0] != 0:
                     m[0], m[i] = m[i], m[0]
                     sign = -sign
+                    minor_sign = -minor_sign if i < len(m) - 1 else 0
                     break
             else:
-                return 0
+                return 0, 0
         pivot_row = m[0]
         pivot = pivot_row[0]
         tail = pivot_row[1:]
@@ -241,7 +248,13 @@ def det_bareiss(rows) -> int:
             )
         m = rest
         prev = pivot
-    return sign * m[0][0]
+    return minor_sign * prev, sign * m[0][0]
+
+
+def det_bareiss(rows) -> int:
+    """Exact determinant of a square integer matrix; 1 for the 0x0 case.
+    The determinant half of ``bareiss``."""
+    return bareiss(rows)[1]
 
 
 def _minor(rows, i: int, j: int) -> list[list[int]]:
@@ -273,26 +286,26 @@ def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
 
 
 def root_free_count(g: DirectedMultigraph) -> int:
-    """The root-independent N of a balanced graph, from two determinants.
+    """The root-independent N of a balanced graph, from one elimination.
 
-    N is the reduced determinant at the first vertex in canonical order.
-    A second determinant certifies it.  Every column of the Laplacian L
-    sums to zero, so det L = 0 and the (i, j) cofactor C_ij does not
-    depend on i: C_ij = C_jj = N(j), the count rooted at vertex j.  Let
-    e_0 be the first unit vector and 1 the all-ones vector.  By the
-    matrix determinant lemma,
+    Every column of the Laplacian L sums to zero, so det L = 0 and the
+    (i, j) cofactor C_ij does not depend on i: C_ij = C_jj = N(j), the
+    count rooted at vertex j.  Let e_0 be the first unit vector and 1
+    the all-ones vector.  By the matrix determinant lemma,
 
         det(L + e_0 1^T) = det L + 1^T adj(L) e_0 = sum_j C_0j
                          = N(0) + N(1) + ... + N(n - 1),
 
-    and L + e_0 1^T is L with 1 added to every entry of row 0, so it
-    stays as sparse as L below that row.  Balance adds zero row sums,
-    which make every N(j) equal, so the sum is n * N.  Without balance
-    the equation says that N(0) is the mean of the n root counts, which
-    is not automatic: for a -> b, b -> c, a -> c the sum is 2 against
-    n * N(r) = 6, 0, 0 over the roots.  A wrong value from either
-    determinant breaks the equation too, unless the two errors happen
-    to match.  A mismatch raises IdentityViolation.
+    and L + e_0 1^T is L with 1 added to every entry of row 0.  Moving
+    vertex 0's row and column last keeps the determinant and makes the
+    leading (n-1) block the reduced Laplacian at vertex 0, so one
+    ``bareiss`` gives N(0) as its last pivot and the sum as its
+    determinant.  Balance adds zero row sums, which make every N(j)
+    equal, so the sum is n * N.  Without balance the equation says that
+    N(0) is the mean of the n root counts, which is not automatic: for
+    a -> b, b -> c, a -> c the sum is 2 against n * N(r) = 6, 0, 0 over
+    the roots.  A wrong minor or a wrong determinant breaks the equation
+    too.  A mismatch raises IdentityViolation.
 
     Connectivity is not required: a disconnected balanced graph has
     every cofactor 0, so both sides are 0 and it counts 0.
@@ -301,8 +314,9 @@ def root_free_count(g: DirectedMultigraph) -> int:
         raise ValueError("graph is not balanced")
     first, *rest = laplacian(g)
     n = len(g.vertices)
-    count = det_bareiss([row[1:] for row in rest])
-    total = det_bareiss([[x + 1 for x in first], *rest])
+    rows = [row[1:] + row[:1] for row in rest]
+    rows.append([x + 1 for x in first[1:] + first[:1]])
+    count, total = bareiss(rows)
     if total != n * count:
         raise IdentityViolation(
             "root-dependent counts on a balanced graph: "
@@ -316,9 +330,8 @@ def balanced_count(g: DirectedMultigraph) -> int:
     """The root-independent N of a connected balanced graph.
 
     Refuses an unbalanced graph, then a disconnected one, and returns
-    the certified ``root_free_count``: one reduced determinant checked
-    against the sum of all n root counts, two determinants whatever
-    the size.
+    the certified ``root_free_count``: N(0) checked against the sum of
+    all n root counts, both from one elimination whatever the size.
     """
     if not is_balanced(g):
         raise ValueError("graph is not balanced")

@@ -76,10 +76,16 @@ def _cycle13() -> str:
     return document_text(DirectedMultigraph(vs, es))
 
 
-def _corrupt_reduced_determinant(monkeypatch) -> None:
-    # the 2x2 reduced determinant of the lens, not the 3x3 certificate
-    real = spanning.det_bareiss
-    monkeypatch.setattr(spanning, "det_bareiss", lambda rows: real(rows) + (len(rows) == 2))
+def _corrupt_bareiss(monkeypatch, corrupted: int) -> None:
+    # 0 corrupts the leading minor N(0), 1 the bordered determinant
+    real = spanning.bareiss
+
+    def off_by_one(rows):
+        pair = list(real(rows))
+        pair[corrupted] += 1
+        return tuple(pair)
+
+    monkeypatch.setattr(spanning, "bareiss", off_by_one)
 
 
 def run(capsys, argv):
@@ -108,7 +114,7 @@ def test_count_by_enumeration_takes_no_determinant(capsys, lens_file, monkeypatc
     def refuse(rows):
         raise AssertionError("a determinant was taken")
 
-    monkeypatch.setattr(spanning, "det_bareiss", refuse)
+    monkeypatch.setattr(spanning, "bareiss", refuse)
     code, out, _ = run(capsys, ["count", lens_file, "--method", "enum"])
     assert (code, out) == (0, "enum=20\n")
 
@@ -116,7 +122,7 @@ def test_count_by_enumeration_takes_no_determinant(capsys, lens_file, monkeypatc
 def test_count_certificate_mismatch_is_identity_violation(
     capsys, lens_file, monkeypatch
 ):
-    _corrupt_reduced_determinant(monkeypatch)
+    _corrupt_bareiss(monkeypatch, 1)
     code, out, err = run(capsys, ["count", lens_file, "--method", "det"])
     assert (code, out) == (1, "")
     assert err.startswith("identity violated: root-dependent counts")
@@ -124,8 +130,8 @@ def test_count_certificate_mismatch_is_identity_violation(
 
 def test_count_unbalanced_needs_root(capsys, unbalanced_file):
     code, out, err = run(capsys, ["count", unbalanced_file])
-    assert code == 1
-    assert "requires --root" in err
+    assert (code, out) == (2, "")
+    assert err == "error: count requires --root on an unbalanced graph\n"
     code, out, _ = run(capsys, ["count", unbalanced_file, "--root", "a"])
     assert code == 0
     assert out == "enum=1\ndet=1\nagree=true\n"
@@ -437,7 +443,7 @@ EXIT_CODES = {
     "IdentityViolation": (
         lambda m: map_text(m, basepoint="e23"),
         ["count", "--method", "det"],
-        _corrupt_reduced_determinant,
+        lambda monkeypatch: _corrupt_bareiss(monkeypatch, 0),
         1,
         "identity violated:",
     ),
@@ -446,6 +452,13 @@ EXIT_CODES = {
     ),
     "unknown-root": (
         lambda m: map_text(m, basepoint="e23"), ["count", "--root", "zz"], None, 2, "error:"
+    ),
+    "unbalanced-no-root": (
+        lambda _: document_text(DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 1)])),
+        ["count"],
+        None,
+        2,
+        "error: count requires --root",
     ),
     "deep-json": (lambda _: "[" * 100000, ["validate"], None, 2, "error: not valid JSON"),
     "long-int": (

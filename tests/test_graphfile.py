@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from moytree.graphfile import (
     map_text,
     parse_document,
 )
-from moytree.planar import Dart
+from moytree.planar import Dart, MapStructureError
 
 
 def lens_text(lens_map) -> str:
@@ -206,7 +208,76 @@ def test_rotation_structure_errors_surface_at_map_build():
     doc = base_doc()
     doc["rotation"] = {"a": ["e:t", "e:h"], "b": ["f:t", "f:h"]}
     parsed = parse_document(json.dumps(doc))
-    from moytree.planar import MapStructureError
-
     with pytest.raises(MapStructureError, match="belongs at"):
         build_map(parsed)
+
+
+# -- mutation fuzzing -------------------------------------------------------------
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "lens_triangle.json"
+# stand-ins for a JSON value: every type, ids that exist and ids that do not
+JSON_VALUES = (
+    None, True, False, 0, -1, 7, 2**70, 1.5, "", "v1", "v4", "e12", "e12:t",
+    "e12:x", "e13:h", [], ["v1"], ["e12:t", "e12:h"], {},
+    {"id": "e9", "tail": "v1", "head": "v1", "weight": 1},
+)
+
+
+def parse_and_build(text: str) -> str:
+    """The outcome of reading a document and building its map."""
+    try:
+        doc = parse_document(text)
+        if doc.rotation is not None:
+            build_map(doc)
+    except FormatError:
+        return "FormatError"
+    except MapStructureError:
+        return "MapStructureError"
+    return "value"
+
+
+def byte_mutant(rng: random.Random, data: bytes) -> str:
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(out))
+        # bytes of the document itself, so ids, digits and quotes get swapped
+        byte = rng.choice(data) if rng.random() < 0.7 else rng.randrange(256)
+        kind = rng.randrange(3)
+        if kind == 0:
+            out[i] = byte
+        elif kind == 1:
+            del out[i]
+        else:
+            out.insert(i, byte)
+    return out.decode("latin-1")
+
+
+def path_mutant(rng: random.Random, doc) -> str:
+    """Replace or delete the value at the end of a random path."""
+    doc = json.loads(json.dumps(doc))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 0.7):
+        parent = node
+        key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+        node = node[key]
+    if parent is None:
+        return json.dumps(rng.choice(JSON_VALUES))
+    if rng.random() < 0.3:
+        del parent[key]
+    else:
+        parent[key] = rng.choice(JSON_VALUES)
+    return json.dumps(doc)
+
+
+def test_mutated_documents_give_a_value_or_a_classified_error():
+    data = DEMO.read_bytes()
+    doc = json.loads(data)
+    rng = random.Random(41)
+    outcomes = {}
+    for _ in range(1500):
+        for text in (byte_mutant(rng, data), path_mutant(rng, doc)):
+            outcome = parse_and_build(text)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # the mutants reach every outcome, not only the JSON decoder's errors
+    assert set(outcomes) == {"value", "FormatError", "MapStructureError"}, outcomes

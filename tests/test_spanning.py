@@ -12,8 +12,10 @@ from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
 from moytree.skein import resolve_G1
 from moytree.spanning import (
     EnumerationLimitError,
+    IdentityViolation,
     SpanningTree,
     balanced_count,
+    bareiss,
     cofactor,
     count_by_determinant,
     count_by_enumeration,
@@ -254,6 +256,52 @@ def test_det_bareiss_sparse_matches_permutation_oracle():
 def test_det_bareiss_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         det_bareiss([[1, 2]])
+    with pytest.raises(ValueError, match="square"):
+        bareiss([[1], [2]])
+
+
+def _minor_and_det(rows) -> tuple[int, int]:
+    """The oracle pair: the leading (n-1) principal minor and the
+    determinant, each by the permutation expansion."""
+    return det_by_permutations([row[:-1] for row in rows[:-1]]), det_by_permutations(rows)
+
+
+def test_bareiss_base_cases():
+    assert bareiss([]) == _minor_and_det([]) == (1, 1)
+    assert bareiss([[7]]) == _minor_and_det([[7]]) == (1, 7)
+    assert bareiss([[0]]) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # zero first pivot, swapped with a row of the leading block
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        # singular leading block: the last step swaps the border row up
+        [[1, 2, 3], [2, 4, 5], [1, 1, 1]],
+        # a column whose only nonzero entry is in the border row
+        [[1, 0, 2], [3, 0, 4], [5, 6, 7]],
+        [[0, 3], [2, 5]],
+        # an all-zero column
+        [[0, 1], [0, 2]],
+        [[1, 0, 2], [3, 0, 4], [5, 0, 7]],
+    ],
+)
+def test_bareiss_pivot_cases_match_permutation_oracle(rows):
+    assert bareiss(rows) == _minor_and_det(rows)
+
+
+def test_bareiss_matches_permutation_oracle():
+    rng = random.Random(38)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        density = rng.choice([0.3, 0.6, 1.0])
+        rows = [
+            [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert bareiss(rows) == _minor_and_det(rows)
 
 
 # -- guards and root independence ---------------------------------------------
@@ -322,12 +370,44 @@ def _disconnected_smoothing() -> DirectedMultigraph:
     return resolve_G1(host, "ab", "ba")
 
 
+def _vanishing_leading_minors() -> list[DirectedMultigraph]:
+    """Balanced graphs whose reduced Laplacian at a starts with a zero
+    pivot, so the bordered elimination has to swap rows."""
+    # closed walks a <-> b of weight 1 and c <-> b of weight -1 leave b
+    # with in-weight 0; the swap stays inside the leading block
+    zero_pivot = DirectedMultigraph(
+        ["a", "b", "c"],
+        [
+            Edge("ab", "a", "b", 1),
+            Edge("ba", "b", "a", 1),
+            Edge("cb", "c", "b", -1),
+            Edge("bc", "b", "c", -1),
+        ],
+    )
+    # the Laplacian is 0, so the border row holds the only nonzero entry
+    # of the first column and is swapped up: the count is 0
+    cancelled = DirectedMultigraph(
+        ["a", "b"],
+        [
+            Edge("ab", "a", "b", 1),
+            Edge("ba", "b", "a", 1),
+            Edge("ab-", "a", "b", -1),
+            Edge("ba-", "b", "a", -1),
+        ],
+    )
+    return [zero_pivot, cancelled]
+
+
 def test_certificate_is_n_times_the_count_on_balanced_graphs():
     rng = random.Random(37)
     graphs = [random_balanced_graph(rng, max_vertices=6) for _ in range(40)]
     split = _disconnected_smoothing()
     assert is_balanced(split) and not is_connected(split)
     graphs.append(split)
+    for g in _vanishing_leading_minors():
+        assert is_balanced(g) and laplacian(g)[1][1] == 0
+        graphs.append(g)
+    assert [weighted_tree_count(g, "a") for g in graphs[-2:]] == [-1, 0]
     for g in graphs:
         n = len(g.vertices)
         count = weighted_tree_count(g, g.vertices[0])
@@ -349,21 +429,24 @@ def test_certificate_separates_the_roots_of_an_unbalanced_graph(make_graph):
         root_free_count(g)
 
 
-@pytest.mark.parametrize("corrupted_call", [0, 1])
+@pytest.mark.parametrize("corrupted", [0, 1])
 def test_certificate_rejects_a_corrupted_determinant(
-    monkeypatch, lens_graph, corrupted_call
+    monkeypatch, lens_graph, corrupted
 ):
-    real = spanning.det_bareiss
+    # 0 corrupts the leading minor N(0), 1 the bordered determinant
+    real = spanning.bareiss
     calls = []
 
     def off_by_one(rows):
         calls.append(len(rows))
-        return real(rows) + (len(calls) - 1 == corrupted_call)
+        pair = list(real(rows))
+        pair[corrupted] += 1
+        return tuple(pair)
 
-    monkeypatch.setattr(spanning, "det_bareiss", off_by_one)
-    with pytest.raises(RuntimeError, match="root-dependent counts on a balanced graph"):
+    monkeypatch.setattr(spanning, "bareiss", off_by_one)
+    with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
         balanced_count(lens_graph)
-    assert calls == [2, 3]
+    assert calls == [3]
 
 
 def test_unbalanced_counts_can_depend_on_the_root(make_graph):
