@@ -127,8 +127,6 @@ def _cmd_count(args) -> int:
         if not is_balanced(g):
             return _fail_usage("count requires --root on an unbalanced graph")
         root = g.vertices[0]
-    elif not g.has_vertex(args.root):
-        raise ValueError(f"unknown root {args.root!r}")
     else:
         root = args.root
     if args.method in ("enum", "all"):

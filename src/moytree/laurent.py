@@ -3,8 +3,9 @@
 A polynomial is stored as a mapping from *doubled* exponents to integer
 coefficients: the key ``d`` stands for the monomial ``t^(d/2)``.  Doubling
 keeps every exponent an ``int``, so arithmetic stays exact and terms are
-totally ordered without ever touching floats.  The zero polynomial is the
-empty mapping; zero coefficients are never stored.
+totally ordered without ever touching floats.  The constructor is the one
+place that sums equal exponents and drops zero totals, so the zero
+polynomial is the empty mapping and no zero coefficient is stored.
 
 The canonical text form sorts terms by strictly decreasing exponent,
 prints integer powers as ``t^3``/``t^-1`` (``t`` for exponent 1, bare
@@ -22,14 +23,15 @@ the general O(|p|·|q|) product.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Union
 
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]], None]
 
 
 class HalfLaurent:
-    """An immutable Laurent polynomial in t^(1/2) with int coefficients."""
+    """An immutable Laurent polynomial in t^(1/2) with int coefficients;
+    only the constructor sums equal exponents and drops zeros."""
 
     __slots__ = ("_terms",)
 
@@ -51,15 +53,8 @@ class HalfLaurent:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def coefficient(self, doubled_exp: int) -> int:
-        """Coefficient of t^(doubled_exp / 2)."""
-        return self._terms.get(doubled_exp, 0)
 
     def to_pairs(self) -> tuple[tuple[int, int], ...]:
         """Machine form: (doubled_exp, coeff) pairs, ascending exponent."""
@@ -67,9 +62,6 @@ class HalfLaurent:
 
     def min_doubled_exp(self) -> int | None:
         return min(self._terms) if self._terms else None
-
-    def max_doubled_exp(self) -> int | None:
-        return max(self._terms) if self._terms else None
 
     def eval_one(self) -> int:
         """Value at t = 1, i.e. the coefficient sum.  Exact."""
@@ -80,28 +72,19 @@ class HalfLaurent:
     def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
         if not isinstance(other, HalfLaurent):
             return NotImplemented
-        keys = set(self._terms) | set(other._terms)
-        return HalfLaurent(
-            {d: self._terms.get(d, 0) + other._terms.get(d, 0) for d in keys}
-        )
+        return HalfLaurent(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "HalfLaurent":
         return HalfLaurent({d: -c for d, c in self._terms.items()})
 
-    def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
         if not isinstance(other, HalfLaurent):
             return NotImplemented
-        acc: dict[int, int] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                d = d1 + d2
-                acc[d] = acc.get(d, 0) + c1 * c2
-        return HalfLaurent(acc)
+        return HalfLaurent(
+            (d1 + d2, c1 * c2)
+            for d1, c1 in self._terms.items()
+            for d2, c2 in other._terms.items()
+        )
 
     def shifted(self, doubled_shift: int) -> "HalfLaurent":
         """Multiply by t^(doubled_shift / 2)."""
@@ -215,8 +198,8 @@ def equal_up_to_shift(p: HalfLaurent, q: HalfLaurent) -> bool:
     the exponent supports of p and q have the same parity.  Two zero
     polynomials compare equal; zero never matches a nonzero polynomial.
     """
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
+    if not p or not q:
+        return not p and not q
     d = q.min_doubled_exp() - p.min_doubled_exp()
     return q == p.shifted(d)
 

@@ -132,18 +132,6 @@ class CombinatorialMap:
                 succ[d] = darts[(i + 1) % len(darts)]
         self._succ = succ
 
-    @property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(sorted(self._succ))
-
-    def vertex_of(self, dart: Dart) -> str:
-        e = self.graph.edge(dart.edge)
-        return e.tail if dart.end == TAIL else e.head
-
-    def successor(self, dart: Dart) -> Dart:
-        """Counterclockwise neighbour of the dart at its vertex."""
-        return self._succ[dart]
-
     def next_in_face(self, dart: Dart) -> Dart:
         return self._succ[dart.twin()]
 

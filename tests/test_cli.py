@@ -453,6 +453,13 @@ EXIT_CODES = {
     "unknown-root": (
         lambda m: map_text(m, basepoint="e23"), ["count", "--root", "zz"], None, 2, "error:"
     ),
+    "unknown-root-det": (
+        lambda m: map_text(m, basepoint="e23"),
+        ["count", "--method", "det", "--root", "zz"],
+        None,
+        2,
+        "error: unknown root 'zz'",
+    ),
     "unbalanced-no-root": (
         lambda _: document_text(DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 1)])),
         ["count"],

