@@ -10,6 +10,7 @@ output is deterministic for a given input file and arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
@@ -231,6 +232,7 @@ def _cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # built on the first call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moytree",

@@ -7,14 +7,15 @@ trees of the product of edge weights.
 
 Two independent backends compute N: direct backtracking enumeration and
 the reduced-Laplacian determinant (delete row and column of the root).
-The determinant uses fraction-free Bareiss elimination over Python ints,
-so results are exact for any integer weights, including zero and
-negative ones.  For balanced graphs every row and column of the
-Laplacian sums to zero, hence all cofactors agree and N is independent
-of the root.  The root-free count therefore takes one elimination, of
-the Laplacian with 1 added to its first row and that vertex moved last:
-its determinant is the sum of all n root counts, n * N, and its last
-pivot is the leading minor, N itself (see ``root_free_count``).
+Every determinant is one sparse fraction-free elimination over Python
+ints (``bareiss``), exact for any integer weights, including zero and
+negative ones; it pivots on the diagonal in Markowitz order and rescales
+untouched rows lazily, so a sparse Laplacian stays sparse.  For balanced
+graphs every row and column of the Laplacian sums to zero, hence all
+cofactors agree and N is independent of the root.  The root-free count
+therefore takes one elimination, of the transposed Laplacian bordered
+with 1 in the column of vertex 0, moved last: its determinant is the sum
+of all n root counts, n * N, and its leading minor is N itself.
 """
 
 from __future__ import annotations
@@ -186,6 +187,22 @@ def count_by_enumeration(
     return total
 
 
+def _transposed_laplacian(g: DirectedMultigraph, last: int) -> list[dict[int, int]]:
+    """Rows of the transposed Laplacian as {column: value} dicts, vertex
+    number ``last`` moved to the end: row h holds the total weight into h
+    on the diagonal and minus the weight from each tail t in column t.
+    Self-loops contribute nothing.  Every Laplacian here is built by it."""
+    pos = {v: i - (i > last) for i, v in enumerate(g.vertices)}
+    pos[g.vertices[last]] = len(g.vertices) - 1
+    rows: list[dict[int, int]] = [{} for _ in g.vertices]
+    for e in g.edges:
+        if e.tail != e.head:
+            t, h = pos[e.tail], pos[e.head]
+            rows[h][h] = rows[h].get(h, 0) + e.weight
+            rows[h][t] = rows[h].get(t, 0) - e.weight
+    return rows
+
+
 def laplacian(g: DirectedMultigraph) -> tuple[tuple[int, ...], ...]:
     """The weighted Laplacian as a tuple of rows, in ``g.vertices`` order.
 
@@ -193,62 +210,110 @@ def laplacian(g: DirectedMultigraph) -> tuple[tuple[int, ...], ...]:
     vertex i to vertex j; the diagonal entry (j, j) is the total weight
     of edges into vertex j.  Self-loops contribute nothing.
     """
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    rows = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        if e.tail != e.head:
-            t, h = idx[e.tail], idx[e.head]
-            rows[t][h] -= e.weight
-            rows[h][h] += e.weight
-    return tuple(map(tuple, rows))
+    cols = _transposed_laplacian(g, len(g.vertices) - 1)
+    return tuple(tuple(col.get(i, 0) for col in cols) for i in range(len(cols)))
 
 
 def bareiss(rows) -> tuple[int, int]:
     """The leading (n-1) x (n-1) principal minor and the determinant of a
     square integer matrix, from one elimination; (1, 1) for the 0x0 case.
 
-    Fraction-free Bareiss elimination: every division is exact, so the
-    whole computation stays in arbitrary-precision ints.  Each step
-    eliminates the first column of the active block and keeps only the
-    trailing entries of the rows below the pivot.  By Sylvester's
-    identity the pivot of step k is the leading k x k minor of the
-    row-swapped matrix, so the last pivot, taken when two rows remain,
-    is the leading minor up to the sign of the swaps.  The search takes
-    the last row only when every row above it is 0 in the pivot column,
-    which makes the leading block singular: its minor is then 0.
+    Rows are sequences or sparse {column: value} dicts.  Fraction-free
+    (Bareiss) elimination: step k pivots on p_k = a_rc and rewrites the
+    other rows as a_ij <- (p_k a_ij - a_ic a_rj) / p_(k-1), with p_0 = 1.
+    Each value is a minor of the matrix (Sylvester's identity), so each
+    division is exact.  Rows are scaled lazily: a row without an entry in
+    column c is only multiplied by p_k / p_(k-1), so a row last rewritten
+    at step m holds exactly p_m / p_(k-1) times its step-(k-1) values and
+    is rewritten as a_ij <- (p_k a_ij - a_ic a'_rj) / p_m, with a' the
+    pivot row brought up to step k - 1.  Entries that cancel are dropped.
+
+    The last row and column stay last.  Pivots are diagonal entries of
+    the active leading block in Markowitz order, least (r - 1)(c - 1) for
+    r entries in the column and c in the row, kept in buckets by cost.
+    When that diagonal is all 0, any nonzero entry of the block is the
+    pivot, and both results take the sign of tau: r_k -> c_k.  When the
+    whole block is 0 first, its rank is short and its minor 0; the last
+    row and column then give pivots too, and a step without a nonzero
+    entry means the determinant is 0.
     """
-    m = list(rows)
-    n = len(m)
-    for row in m:
-        if len(row) != n:
+    n = len(rows)
+    last = n - 1
+    a: list[dict[int, int]] = []
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            row = dict(enumerate(row))
+        elif not all(0 <= j < n for j in row):
             raise ValueError("matrix must be square")
-    if n == 0:
-        return 1, 1
-    sign = minor_sign = 1
-    prev = 1
-    while len(m) > 1:
-        if m[0][0] == 0:
-            for i in range(1, len(m)):
-                if m[i][0] != 0:
-                    m[0], m[i] = m[i], m[0]
-                    sign = -sign
-                    minor_sign = -minor_sign if i < len(m) - 1 else 0
-                    break
-            else:
-                return 0, 0
-        pivot_row = m[0]
-        pivot = pivot_row[0]
-        tail = pivot_row[1:]
-        rest = []
-        for row in m[1:]:
-            x = row[0]
-            rest.append(
-                [(pivot * y - x * p) // prev for y, p in zip(row[1:], tail)]
-            )
-        m = rest
-        prev = pivot
-    return minor_sign * prev, sign * m[0][0]
+        a.append({j: x for j, x in row.items() if x})
+        for j in a[i]:
+            cols[j].add(i)
+    live = set(range(n))
+    level = [0] * n  # row i holds its values after step level[i]
+    piv = [1]
+    tau: dict[int, int] = {}  # pivot row -> pivot column
+    cost: dict[int, int] = {}  # diagonal candidate -> its Markowitz cost
+    buckets: dict[int, set[int]] = {}  # cost -> the candidates at that cost
+
+    def place(i: int) -> None:
+        old = cost.pop(i, None)
+        if old is not None:
+            buckets[old].discard(i)
+            if not buckets[old]:
+                del buckets[old]
+        if i != last and i in live and i in a[i]:
+            cost[i] = key = (len(cols[i]) - 1) * (len(a[i]) - 1)
+            buckets.setdefault(key, set()).add(i)
+
+    for i in range(last):
+        place(i)
+    zero = False  # the active leading block ran out: the minor is 0
+    for k in range(1, n + 1):
+        if k < n and not zero and buckets:
+            r = c = next(iter(buckets[min(buckets)]))
+        else:
+            entries = [(i, j) for i in live for j in a[i]]
+            block = [(i, j) for i, j in entries if last not in (i, j)]
+            zero = zero or (k < n and not block)
+            if not entries:
+                break
+            r, c = (entries if zero or k == n else block)[0]
+        tau[r] = c
+        live.discard(r)
+        prow = a[r]
+        if level[r] != k - 1:
+            prow = {j: x * piv[k - 1] // piv[level[r]] for j, x in prow.items()}
+        piv.append(p := prow.pop(c))
+        for j in prow:
+            cols[j].discard(r)
+        touched = cols[c] - {r}
+        for i in touched:
+            row = a[i]
+            x = row.pop(c)
+            for j in prow.keys() - row.keys():
+                cols[j].add(i)
+            d = piv[level[i]]
+            new = {j: y * p // d for j, y in row.items() if j not in prow}
+            size = len(new) + len(prow)
+            new.update({j: v for j, y in prow.items() if (v := (row.get(j, 0) * p - x * y) // d)})
+            a[i], level[i] = new, k
+            if len(new) < size:  # entries cancelled
+                for j in prow.keys() - new.keys():
+                    cols[j].discard(i)
+        for i in (r, *touched, *prow):
+            place(i)
+    if zero and len(piv) <= n:
+        return 0, 0
+    sign = 1
+    for i in tau:  # tau is a permutation here; sort it by swaps
+        while tau[i] != i:
+            j = tau[i]
+            tau[i], tau[j] = tau[j], j
+            sign = -sign
+    return 0 if zero else sign * piv[last], sign * piv[n] if len(piv) > n else 0
 
 
 def det_bareiss(rows) -> int:
@@ -257,32 +322,14 @@ def det_bareiss(rows) -> int:
     return bareiss(rows)[1]
 
 
-def _minor(rows, i: int, j: int) -> list[list[int]]:
-    """The matrix with row i and column j deleted."""
-    return [
-        [x for jj, x in enumerate(row) if jj != j]
-        for ii, row in enumerate(rows)
-        if ii != i
-    ]
-
-
-def cofactor(rows, i: int, j: int) -> int:
-    """Signed (i, j) cofactor of the matrix."""
-    sign = -1 if (i + j) % 2 else 1
-    return sign * det_bareiss(_minor(rows, i, j))
-
-
 def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
-    """N(g, root) via the reduced-Laplacian determinant.
-
-    Deletes the root's row and column; the matrix-tree identity makes
-    this equal to the enumeration count for any integer weights.  Does
-    not require connectivity (a disconnected graph simply counts 0).
-    """
+    """N(g, root) as the leading minor of the Laplacian with the root
+    moved last, the reduced-Laplacian determinant; by the matrix-tree
+    identity it equals the enumeration count for any integer weights.
+    Does not require connectivity (a disconnected graph counts 0)."""
     if not g.has_vertex(root):
         raise ValueError(f"unknown root {root!r}")
-    index = g.vertices.index(root)
-    return det_bareiss(_minor(laplacian(g), index, index))
+    return bareiss(_transposed_laplacian(g, g.vertices.index(root)))[0]
 
 
 def root_free_count(g: DirectedMultigraph) -> int:
@@ -294,28 +341,29 @@ def root_free_count(g: DirectedMultigraph) -> int:
     the all-ones vector.  By the matrix determinant lemma,
 
         det(L + e_0 1^T) = det L + 1^T adj(L) e_0 = sum_j C_0j
-                         = N(0) + N(1) + ... + N(n - 1),
+                         = N(0) + N(1) + ... + N(n - 1).
 
-    and L + e_0 1^T is L with 1 added to every entry of row 0.  Moving
-    vertex 0's row and column last keeps the determinant and makes the
-    leading (n-1) block the reduced Laplacian at vertex 0, so one
-    ``bareiss`` gives N(0) as its last pivot and the sum as its
-    determinant.  Balance adds zero row sums, which make every N(j)
-    equal, so the sum is n * N.  Without balance the equation says that
-    N(0) is the mean of the n root counts, which is not automatic: for
-    a -> b, b -> c, a -> c the sum is 2 against n * N(r) = 6, 0, 0 over
-    the roots.  A wrong minor or a wrong determinant breaks the equation
-    too.  A mismatch raises IdentityViolation.
+    Its transpose L^T + 1 e_0^T, which adds 1 to column 0, has the same
+    determinant, and moving vertex 0 last makes its leading (n-1) block
+    the transposed reduced Laplacian at vertex 0.  So one ``bareiss``
+    gives N(0) as the minor and the sum as the determinant, and the dense
+    border is a column, eliminated last.  Balance adds zero row sums,
+    which make every N(j) equal, so the sum is n * N.  Without balance
+    the equation says that N(0) is the mean of the n root counts, which
+    is not automatic: for a -> b, b -> c, a -> c the sum is 2 against
+    n * N(r) = 6, 0, 0 over the roots.  A wrong minor or a wrong
+    determinant breaks the equation too.  A mismatch raises
+    IdentityViolation.
 
     Connectivity is not required: a disconnected balanced graph has
     every cofactor 0, so both sides are 0 and it counts 0.
     """
     if not is_balanced(g):
         raise ValueError("graph is not balanced")
-    first, *rest = laplacian(g)
     n = len(g.vertices)
-    rows = [row[1:] + row[:1] for row in rest]
-    rows.append([x + 1 for x in first[1:] + first[:1]])
+    rows = _transposed_laplacian(g, 0)
+    for row in rows:
+        row[n - 1] = row.get(n - 1, 0) + 1
     count, total = bareiss(rows)
     if total != n * count:
         raise IdentityViolation(

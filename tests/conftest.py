@@ -5,6 +5,7 @@ import pytest
 from moytree.generate import seed_lens_triangle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.planar import decorate
+from moytree.spanning import bareiss
 
 
 @pytest.fixture
@@ -15,6 +16,20 @@ def make_graph():
         return DirectedMultigraph(vertices, [Edge(*r) for r in records])
 
     return build
+
+
+@pytest.fixture
+def cofactor():
+    """The signed (i, j) cofactor of a matrix given as a tuple of tuples:
+    (-1)^(i+j) times the leading minor once row i and column j are moved
+    last, which is the minor without row i and column j."""
+
+    def signed(rows, i: int, j: int) -> int:
+        moved = rows[:i] + rows[i + 1 :] + rows[i : i + 1]
+        minor, _ = bareiss([r[:j] + r[j + 1 :] + r[j : j + 1] for r in moved])
+        return (-1) ** (i + j) * minor
+
+    return signed
 
 
 @pytest.fixture

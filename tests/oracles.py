@@ -3,12 +3,14 @@
 Nothing here shares algorithms with the package: trees are found by
 filtering every subset of n - 1 edges against the definition, Kauffman
 states by filtering every corner assignment, determinants expand over
-permutations, and polynomial products convolve raw coefficient pairs.
+permutations or eliminate over rationals, and polynomial products
+convolve raw coefficient pairs.
 Slow on purpose; keep instances small.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 
@@ -84,6 +86,33 @@ def det_by_permutations(rows) -> int:
             prod *= rows[i][perm[i]]
         total += -prod if inversions % 2 else prod
     return total
+
+
+def det_by_fractions(rows) -> int:
+    """Gaussian elimination over Fractions, swapping in the first row with
+    a nonzero entry in the pivot column; exact, usable well past 25x25."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        swap = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                for j in range(k, len(m)):
+                    m[i][j] -= factor * m[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def minor_and_det_by_fractions(rows) -> tuple[int, int]:
+    """The leading (n-1) principal minor and the determinant."""
+    return det_by_fractions([row[:-1] for row in rows[:-1]]), det_by_fractions(rows)
 
 
 def convolve_pairs(p_pairs, q_pairs) -> tuple[tuple[int, int], ...]:

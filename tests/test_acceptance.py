@@ -28,7 +28,6 @@ from moytree.selftest import (
     check_subdivision,
 )
 from moytree.spanning import (
-    cofactor,
     count_by_determinant,
     count_by_enumeration,
     enumerate_trees,
@@ -44,7 +43,7 @@ def report(number: int, label: str, ok: bool, extra: str = "") -> None:
     assert ok, f"criterion {number} ({label}) failed"
 
 
-def test_criterion_1_worked_example_counts(lens_graph):
+def test_criterion_1_worked_example_counts(lens_graph, cofactor):
     g = lens_graph
     ok = [len(enumerate_trees(g, r)) for r in ("v1", "v2", "v3")] == [2, 3, 1]
     for r in g.vertices:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from moytree import spanning
-from moytree.generate import random_balanced_graph, random_connected_digraph
+from moytree.generate import random_balanced_graph, random_connected_digraph, seed_cycle
 from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
 from moytree.skein import resolve_G1
 from moytree.spanning import (
@@ -16,7 +16,6 @@ from moytree.spanning import (
     SpanningTree,
     balanced_count,
     bareiss,
-    cofactor,
     count_by_determinant,
     count_by_enumeration,
     det_bareiss,
@@ -25,7 +24,12 @@ from moytree.spanning import (
     root_free_count,
     tree_weight,
 )
-from oracles import det_by_permutations, spanning_tree_sets, weighted_tree_count
+from oracles import (
+    det_by_permutations,
+    minor_and_det_by_fractions,
+    spanning_tree_sets,
+    weighted_tree_count,
+)
 
 
 # -- the worked three-vertex example ----------------------------------------
@@ -56,7 +60,7 @@ def test_lens_laplacian_matrix(lens_graph):
     assert laplacian(lens_graph) == ((6, -5, -1), (-2, 5, -3), (-4, 0, 4))
 
 
-def test_lens_all_nine_cofactors_equal(lens_graph):
+def test_lens_all_nine_cofactors_equal(lens_graph, cofactor):
     rows = laplacian(lens_graph)
     for i in range(3):
         for j in range(3):
@@ -258,6 +262,10 @@ def test_det_bareiss_rejects_non_square():
         det_bareiss([[1, 2]])
     with pytest.raises(ValueError, match="square"):
         bareiss([[1], [2]])
+    with pytest.raises(ValueError, match="square"):
+        bareiss([{0: 1, 2: 1}, {1: 1}])
+    with pytest.raises(ValueError, match="square"):
+        bareiss([{0: 1}, {-1: 1}])
 
 
 def _minor_and_det(rows) -> tuple[int, int]:
@@ -302,6 +310,80 @@ def test_bareiss_matches_permutation_oracle():
             for _ in range(n)
         ]
         assert bareiss(rows) == _minor_and_det(rows)
+
+
+def _random_rows(rng, n: int, density: float, bound: int = 4) -> list[list[int]]:
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _sparse(rows) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.3, 1.0])
+def test_bareiss_matches_fraction_oracle(density):
+    rng = random.Random(int(40 + 10 * density))
+    for n in range(26):
+        rows = _random_rows(rng, n, density)
+        pair = minor_and_det_by_fractions(rows)
+        assert bareiss(rows) == pair
+        assert bareiss(_sparse(rows)) == pair
+
+
+def test_bareiss_zero_diagonals_and_singular_leading_blocks():
+    rng = random.Random(44)
+    # a zero diagonal: the first pivot lies off it, later ones may lie on
+    # diagonal entries that fill created
+    nonzero = 0
+    for _ in range(80):
+        rows = _random_rows(rng, rng.randint(2, 12), rng.choice([0.3, 0.6, 1.0]), 5)
+        for i in range(len(rows)):
+            rows[i][i] = 0
+        pair = bareiss(rows)
+        assert pair == minor_and_det_by_fractions(rows)
+        nonzero += pair[0] != 0 and pair[1] != 0
+    assert nonzero >= 20
+    # a leading block of rank n - 2: its minor is 0, the determinant need not be
+    nonzero = 0
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        rows = _random_rows(rng, n, rng.choice([0.3, 1.0]), 5)
+        k = rng.choice([-2, -1, 1, 3])
+        rows[n - 2][: n - 1] = [k * x for x in rows[0][: n - 1]]
+        pair = bareiss(rows)
+        assert pair == minor_and_det_by_fractions(rows)
+        assert pair[0] == 0
+        nonzero += pair[1] != 0
+    assert nonzero >= 10
+
+
+def test_bareiss_leading_block_with_pivots_only_off_the_diagonal():
+    # the leading block is a scaled derangement: no diagonal entry is ever
+    # nonzero, and the sign of its cycles decides the minor's sign
+    rng = random.Random(45)
+    for _ in range(60):
+        n = rng.randint(3, 11)
+        perm = list(range(n - 1))
+        while any(i == j for i, j in enumerate(perm)):
+            rng.shuffle(perm)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            rows[i][j] = rng.choice([-3, -2, -1, 1, 2, 3])
+            rows[i][n - 1] = rng.randint(-3, 3)
+        rows[n - 1] = [rng.randint(-3, 3) for _ in range(n)]
+        pair = bareiss(rows)
+        assert pair == minor_and_det_by_fractions(rows)
+        assert pair[0] != 0
+
+
+def test_long_unit_cycle_counts_one():
+    # one tree per root; the elimination stays sparse, so this is fast
+    g = seed_cycle(3000, 1).graph
+    assert root_free_count(g) == 1
+    assert count_by_determinant(g, g.vertices[1234]) == 1
 
 
 # -- guards and root independence ---------------------------------------------
