@@ -15,13 +15,7 @@ import sys
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
 from .graphfile import FormatError, build_map, load_document
-from .kauffman import (
-    _north_tree,
-    enumerate_states,
-    state_sum,
-    state_weight,
-    tree_to_state,
-)
+from .kauffman import check_bijection, enumerate_states, state_sum
 from .planar import (
     CombinatorialMap,
     DecoratedDiagram,
@@ -172,26 +166,16 @@ def _cmd_states(args) -> int:
 
 def _cmd_bijection(args) -> int:
     diagram = _diagram(args)
-    g = diagram.map.graph
-    trees = enumerate_trees(g, diagram.root, force=args.force)
+    trees = enumerate_trees(diagram.map.graph, diagram.root, force=args.force)
     states = enumerate_states(diagram)
-    # a state is known by its corners in crossing order
-    known = {tuple(map(s.get, diagram.crossings)) for s in states}
+    verdicts = check_bijection(diagram, trees, states)
     print(f"root={diagram.root} trees={len(trees)} states={len(states)}")
-    ok = len(trees) == len(states)
-    for tree in trees:
-        # tree_to_state has checked the state, so the way back skips that check
-        state = tree_to_state(diagram, tree)
-        back = _north_tree(diagram, state)
-        w_tree = tree_weight(g, tree)
-        w_state = state_weight(diagram, state).eval_one()
-        found = tuple(map(state.get, diagram.crossings)) in known
-        line_ok = back == tree and w_tree == w_state and found
-        ok = ok and line_ok
+    for tree, weight, ok in verdicts:
         print(
             f"tree: {' '.join(tree.sorted_edges())} -> "
-            f"{'ok' if line_ok else 'MISMATCH'} weight={w_tree}"
+            f"{'ok' if ok else 'MISMATCH'} weight={weight}"
         )
+    ok = len(trees) == len(states) and all(ok for _, _, ok in verdicts)
     print(f"bijection={'ok' if ok else 'fail'}")
     return 0 if ok else 1
 

@@ -31,15 +31,20 @@ States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
 other crossing takes the corner met when its dual edge is crossed while
 growing the dual spanning tree outward from the two marked faces.
+``check_bijection`` checks it tree by tree.  The way back compares the
+north edges with a tree already validated, so it validates nothing again;
+the weight at t = 1 multiplies the state's north quantum weights as ints,
+read off its corners, so it stays independent of ``tree_weight``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import prod
 
 from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
-from .spanning import IdentityViolation, SpanningTree, _validate_tree
+from .spanning import IdentityViolation, SpanningTree, _validate_tree, tree_weight
 
 State = dict[str, str]
 
@@ -269,6 +274,12 @@ def _check_state(diagram: DecoratedDiagram, state: State) -> None:
     # |crossings| = |unmarked regions|, so injective means bijective.
 
 
+def _north_edges(diagram: DecoratedDiagram, state: State) -> frozenset[str]:
+    """The crossings a state sends north, the basepoint left out."""
+    basepoint = diagram.basepoint
+    return frozenset(e for e, c in state.items() if c == NORTH and e != basepoint)
+
+
 def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     """The spanning tree matching a state: north edges minus the basepoint.
 
@@ -278,21 +289,31 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     raises IdentityViolation.
     """
     _check_state(diagram, state)
-    return _north_tree(diagram, state)
-
-
-def _north_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
-    """``state_to_tree`` for a state already checked, such as the result
-    of ``tree_to_state``; still raises IdentityViolation if the north
-    edges do not form a spanning tree."""
-    edges = frozenset(
-        eid
-        for eid, corner in state.items()
-        if corner == NORTH and eid != diagram.basepoint
-    )
-    tree = SpanningTree(diagram.root, edges)
+    tree = SpanningTree(diagram.root, _north_edges(diagram, state))
     try:
         _validate_tree(diagram.map.graph, tree)
     except ValueError as exc:
         raise IdentityViolation(f"state does not induce a spanning tree: {exc}") from exc
     return tree
+
+
+def check_bijection(
+    diagram: DecoratedDiagram, trees: list[SpanningTree], states: list[State]
+) -> list[tuple[SpanningTree, int, bool]]:
+    """Every tree's verdict as (tree, tree weight, ok), all found before a
+    caller prints one.  ok: ``tree_to_state`` (which validates the tree and
+    certifies the state) gives a state among ``states``; its north edges
+    off the basepoint equal the validated tree, so need no validation; and
+    its corners' quantum weights (``state_weight``'s rules) multiply as ints
+    to ``tree_weight``, which reads the tree's edges, not the corners.
+    """
+    known = {tuple(map(s.get, diagram.crossings)) for s in states}
+    verdicts = []
+    for tree in trees:
+        state = tree_to_state(diagram, tree)
+        w_state = prod(_local_factor(diagram, e, state[e])[1] or 1 for e in sorted(state))
+        w_tree = tree_weight(diagram.map.graph, tree)
+        ok = _north_edges(diagram, state) == tree.edges and w_state == w_tree
+        ok = ok and tuple(map(state.get, diagram.crossings)) in known
+        verdicts.append((tree, w_tree, ok))
+    return verdicts

@@ -26,6 +26,7 @@ from .graph import (
     subdivide_edge,
 )
 from .kauffman import (
+    check_bijection,
     enumerate_states,
     local_weight,
     state_sum,
@@ -42,7 +43,6 @@ from .spanning import (
     count_by_enumeration,
     enumerate_trees,
     root_free_count,
-    tree_weight,
 )
 
 
@@ -114,12 +114,7 @@ def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
         poly = state_sum(diagram)
         good = poly.eval_one() == balanced_count(m.graph) and is_symmetric(poly)
         good = good and len(trees) == len(states)
-        for tree in trees:
-            state = tree_to_state(diagram, tree)
-            good = good and state_to_tree(diagram, state) == tree
-            good = good and state_weight(diagram, state).eval_one() == tree_weight(
-                m.graph, tree
-            )
+        good = good and all(ok for _, _, ok in check_bijection(diagram, trees, states))
         for state in states:
             good = good and tree_to_state(diagram, state_to_tree(diagram, state)) == state
             factors = (local_weight(diagram, eid, state[eid]) for eid in sorted(state))

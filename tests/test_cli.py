@@ -14,6 +14,7 @@ from moytree.cli import main
 from moytree.generate import seed_cycle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
+from moytree.planar import CombinatorialMap, Dart
 
 ROOT = Path(__file__).resolve().parent.parent
 LENS_DATA = str(ROOT / "data" / "lens_triangle.json")
@@ -220,9 +221,35 @@ def test_bijection_state_check_failure_is_identity_violation(
         return d
 
     monkeypatch.setattr(cli, "decorate", corrupted)
-    code, _, err = run(capsys, ["bijection", LENS_DATA])
+    code, out, err = run(capsys, ["bijection", LENS_DATA])
     assert code == 1
+    assert out == ""
     assert err.startswith("identity violated: tree does not induce a state")
+
+
+def test_bijection_reports_a_tree_whose_state_is_not_enumerated(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_states", lambda diagram: [])
+    code, out, _ = run(capsys, ["bijection", LENS_DATA])
+    assert code == 1
+    assert out == (
+        "root=v3 trees=1 states=0\n"
+        "tree: e12 e31 -> MISMATCH weight=20\n"
+        "bijection=fail\n"
+    )
+
+
+def test_refused_bijection_prints_nothing_on_stdout(capsys, tmp_path):
+    g = DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 0), Edge("f", "b", "a", 0)])
+    rotation = {
+        "a": (Dart("e", "t"), Dart("f", "h")),
+        "b": (Dart("f", "t"), Dart("e", "h")),
+    }
+    path = tmp_path / "zero.json"
+    text = map_text(CombinatorialMap(g, rotation), basepoint="e")
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["bijection", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: edge 'e': crossing weight must be positive\n"
 
 
 DIAGRAM_COMMANDS = ("alexander", "states", "bijection")

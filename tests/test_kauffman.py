@@ -11,7 +11,7 @@ import pytest
 from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
-    _north_tree,
+    check_bijection,
     enumerate_states,
     local_weight,
     state_sum,
@@ -231,11 +231,16 @@ def test_tree_to_state_result_that_is_no_state_is_identity_violation(
 
 
 def test_north_edges_that_are_no_tree_are_identity_violation(lens_diagram):
-    # _north_tree trusts its state; all five crossings north leaves four
-    # tree edges for three vertices
-    state = dict.fromkeys(lens_diagram.crossings, "N")
-    with pytest.raises(IdentityViolation, match="state does not induce a spanning tree"):
-        _north_tree(lens_diagram, state)
+    # Moving the east corner of e12 onto the circle of v2 makes a state
+    # with one north edge off the basepoint: a genuine state whose north
+    # edges are one edge for three vertices.
+    lens_diagram.corner_region["e12", "E"] = 5
+    state = {"e12": "E", "e13": "E", "e21": "W", "e23": "N", "e31": "N"}
+    with pytest.raises(
+        IdentityViolation,
+        match="state does not induce a spanning tree: invalid tree: 1 edges for 3",
+    ):
+        state_to_tree(lens_diagram, state)
 
 
 # -- bijection on random diagrams ------------------------------------------------------
@@ -260,6 +265,25 @@ def test_bijection_round_trips_on_random_diagrams():
             )
         for state in states:
             assert tree_to_state(diagram, state_to_tree(diagram, state)) == state
+
+
+def test_check_bijection_flags_exactly_the_tree_whose_state_is_missing():
+    rng = random.Random(43)
+    for _ in range(20):
+        m = random_plane_map(rng, max_vertices=7, max_weight=4)
+        diagram = decorate(m, rng.choice(m.graph.edges).id)
+        trees = enumerate_trees(m.graph, diagram.root)
+        states = enumerate_states(diagram)
+        verdicts = check_bijection(diagram, trees, states)
+        assert [(t, w) for t, w, _ in verdicts] == [
+            (t, tree_weight(m.graph, t)) for t in trees
+        ]
+        assert all(ok for _, _, ok in verdicts)
+        k = rng.randrange(len(states))
+        missing = states[:k] + states[k + 1 :]
+        flags = [ok for _, _, ok in check_bijection(diagram, trees, missing)]
+        assert flags == [tree_to_state(diagram, t) != states[k] for t in trees]
+        assert flags.count(False) == 1
 
 
 def test_two_cycle_diagram_by_hand():
