@@ -93,7 +93,7 @@ def _cmd_validate(args) -> int:
             clean = not violations and balanced and connected
             if clean and doc.basepoint is not None:
                 try:
-                    decorate(m, doc.basepoint)
+                    DecoratedDiagram(m, doc.basepoint)
                     report("basepoint", True)
                 except DiagramError as exc:
                     report("basepoint", False, str(exc))

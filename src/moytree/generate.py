@@ -282,8 +282,6 @@ def random_balanced_graph(
             walk.append(step)
         if not allow_loops and walk[-1] == walk[0]:
             walk.pop()
-            if len(walk) < 2:
-                continue
         add_closed_walk(walk, rng.randint(1, max_weight))
     return DirectedMultigraph(vertices, edges)
 

@@ -31,10 +31,10 @@ States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
 other crossing takes the corner met when its dual edge is crossed while
 growing the dual spanning tree outward from the two marked faces.
-``check_bijection`` checks it tree by tree.  The way back compares the
-north edges with a tree already validated, so it validates nothing again;
-the weight at t = 1 multiplies the state's north quantum weights as ints,
-read off its corners, so it stays independent of ``tree_weight``.
+``check_bijection`` checks it tree by tree.  ``tree_to_state`` validates
+the tree and certifies the state it builds, so the verdict is whether that
+state is among the enumerated ones; the weight at t = 1 multiplies the
+state's north quantum weights as ints, read off its corners.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from math import prod
 
 from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
-from .spanning import IdentityViolation, SpanningTree, _validate_tree, tree_weight
+from .spanning import IdentityViolation, SpanningTree, _validate_tree
 
 State = dict[str, str]
 
@@ -274,12 +274,6 @@ def _check_state(diagram: DecoratedDiagram, state: State) -> None:
     # |crossings| = |unmarked regions|, so injective means bijective.
 
 
-def _north_edges(diagram: DecoratedDiagram, state: State) -> frozenset[str]:
-    """The crossings a state sends north, the basepoint left out."""
-    basepoint = diagram.basepoint
-    return frozenset(e for e, c in state.items() if c == NORTH and e != basepoint)
-
-
 def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     """The spanning tree matching a state: north edges minus the basepoint.
 
@@ -289,7 +283,9 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     raises IdentityViolation.
     """
     _check_state(diagram, state)
-    tree = SpanningTree(diagram.root, _north_edges(diagram, state))
+    basepoint = diagram.basepoint
+    north = frozenset(e for e, c in state.items() if c == NORTH and e != basepoint)
+    tree = SpanningTree(diagram.root, north)
     try:
         _validate_tree(diagram.map.graph, tree)
     except ValueError as exc:
@@ -300,20 +296,17 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
 def check_bijection(
     diagram: DecoratedDiagram, trees: list[SpanningTree], states: list[State]
 ) -> list[tuple[SpanningTree, int, bool]]:
-    """Every tree's verdict as (tree, tree weight, ok), all found before a
-    caller prints one.  ok: ``tree_to_state`` (which validates the tree and
-    certifies the state) gives a state among ``states``; its north edges
-    off the basepoint equal the validated tree, so need no validation; and
-    its corners' quantum weights (``state_weight``'s rules) multiply as ints
-    to ``tree_weight``, which reads the tree's edges, not the corners.
+    """Every tree's verdict as (tree, weight, ok), all found before a caller
+    prints one.  ``tree_to_state`` validates the tree and certifies the
+    state it builds, which sends exactly the tree's edges north, so ok is
+    membership of that state in ``states``.  The weight multiplies the
+    quantum weights of the state's corners (``state_weight``'s rules) as
+    ints, which refuses a nonpositive edge weight.
     """
     known = {tuple(map(s.get, diagram.crossings)) for s in states}
     verdicts = []
     for tree in trees:
         state = tree_to_state(diagram, tree)
-        w_state = prod(_local_factor(diagram, e, state[e])[1] or 1 for e in sorted(state))
-        w_tree = tree_weight(diagram.map.graph, tree)
-        ok = _north_edges(diagram, state) == tree.edges and w_state == w_tree
-        ok = ok and tuple(map(state.get, diagram.crossings)) in known
-        verdicts.append((tree, w_tree, ok))
+        weight = prod(_local_factor(diagram, e, state[e])[1] or 1 for e in sorted(state))
+        verdicts.append((tree, weight, tuple(map(state.get, diagram.crossings)) in known))
     return verdicts

@@ -222,7 +222,8 @@ class DecoratedDiagram:
     corner geometry: north = circle(head(e)), east = face holding the
     tail-end dart, west = face holding the head-end dart.  ``marked`` is
     the sorted pair of the basepoint's east and west regions, so only
-    the basepoint's north corner is admissible in a state.
+    the basepoint's north corner is admissible in a state.  A bridge (an
+    edge whose east and west faces are one) raises DiagramError.
     """
 
     def __init__(self, m: CombinatorialMap, basepoint: str):
@@ -239,9 +240,15 @@ class DecoratedDiagram:
 
         self.corner_region: dict[tuple[str, str], int] = {}
         for e in g.edges:
+            east, west = face_of[Dart(e.id, TAIL)], face_of[Dart(e.id, HEAD)]
+            if east == west:
+                raise DiagramError(
+                    f"edge {e.id!r} has the same face on both sides (bridge); "
+                    "basepoint regions would collide"
+                )
             self.corner_region[e.id, NORTH] = circle_of[e.head]
-            self.corner_region[e.id, EAST] = face_of[Dart(e.id, TAIL)]
-            self.corner_region[e.id, WEST] = face_of[Dart(e.id, HEAD)]
+            self.corner_region[e.id, EAST] = east
+            self.corner_region[e.id, WEST] = west
 
         self.marked: tuple[int, int] = tuple(
             sorted(self.corner_region[basepoint, c] for c in (EAST, WEST))
@@ -270,12 +277,6 @@ def decorate(m: CombinatorialMap, basepoint: str) -> DecoratedDiagram:
         )
         raise DiagramError(f"map cannot be decorated: {details}")
     diagram = DecoratedDiagram(m, basepoint)
-    for e in m.graph.edges:
-        if diagram.corner_region[e.id, EAST] == diagram.corner_region[e.id, WEST]:
-            raise DiagramError(
-                f"edge {e.id!r} has the same face on both sides (bridge); "
-                "basepoint regions would collide"
-            )
     # Euler gives |regions| = F + V = (E + 2 - V) + V = |crossings| + 2.
     assert len(diagram.regions) == len(diagram.crossings) + 2
     return diagram

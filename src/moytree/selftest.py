@@ -99,10 +99,9 @@ def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
 
 def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
     """On plane diagrams: state sum at t = 1 equals the tree count, the
-    state sum is symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), the tree/state
-    bijection round-trips both ways, each tree's weight equals its
-    state's weight at t = 1, and each state weight equals the general
-    product of its local weights."""
+    state sum is symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), every tree's state
+    is enumerated and every state round-trips through its tree, and each
+    state weight equals the general product of its local weights."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):

@@ -69,14 +69,13 @@ def _validate_tree(g: DirectedMultigraph, tree: SpanningTree) -> list:
         if e.head in parent:
             raise ValueError(f"invalid tree: two edges enter {e.head!r}")
         parent[e.head] = e.tail
-    for v in g.vertices:
-        if v != tree.root and v not in parent:
-            raise ValueError(f"invalid tree: no edge enters {v!r}")
-    # With in-degree 1 everywhere off the root, acyclicity is equivalent
-    # to every parent chain ending at the root.  Walk k marks each vertex
-    # it passes with k and stops at the first marked one: a mark from an
-    # earlier walk means the root is reached, its own mark means a cycle.
-    # Each vertex is marked once, so the check is linear.
+    # With in-degree 1 everywhere off the root (the V - 1 edges enter V - 1
+    # distinct vertices, none of them the root, so by pigeonhole each of
+    # the others once), acyclicity is equivalent to every parent chain
+    # ending at the root.  Walk k marks each vertex it passes with k and
+    # stops at the first marked one: a mark from an earlier walk means the
+    # root is reached, its own mark means a cycle.  Each vertex is marked
+    # once, so the check is linear.
     walk_of = {tree.root: -1}
     for k, v in enumerate(g.vertices):
         while v not in walk_of:

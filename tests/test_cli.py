@@ -390,6 +390,53 @@ def test_validate_disconnected_map(capsys, tmp_path):
     )
 
 
+def test_validate_map_with_a_bridge(capsys, tmp_path):
+    # balanced (bc has weight 0), connected and planar, but bc is a bridge
+    g = DirectedMultigraph(
+        ["a", "b", "c"],
+        [Edge("ab", "a", "b", 1), Edge("ba", "b", "a", 1), Edge("bc", "b", "c", 0)],
+    )
+    doc = json.loads(document_text(g))
+    doc["rotation"] = {"a": ["ab:t", "ba:h"], "b": ["ab:h", "ba:t", "bc:t"], "c": ["bc:h"]}
+    doc["basepoint"] = "ab"
+    path = tmp_path / "bridge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out == (
+        "positive-weights=fail\n"
+        "balance=ok\n"
+        "connectivity=ok\n"
+        "strong-connectivity=fail\n"
+        "rotation-structure=ok\n"
+        "loop=ok\n"
+        "transverse=ok\n"
+        "planar=ok\n"
+        "basepoint=fail edge 'bc' has the same face on both sides (bridge); "
+        "basepoint regions would collide\n"
+        "result=fail\n"
+    )
+
+
+def test_validate_rotation_with_darts_at_the_wrong_vertex(capsys, tmp_path):
+    g = DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 1), Edge("f", "b", "a", 1)])
+    doc = json.loads(document_text(g))
+    doc["rotation"] = {"a": ["e:t", "f:t"], "b": ["e:h", "f:h"]}
+    path = tmp_path / "misplaced.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    assert out == (
+        "positive-weights=ok\n"
+        "balance=ok\n"
+        "connectivity=ok\n"
+        "strong-connectivity=ok\n"
+        "rotation-structure=fail dart f:h listed at 'b' but belongs at 'a'; "
+        "dart f:t listed at 'a' but belongs at 'b'\n"
+        "result=fail\n"
+    )
+
+
 # -- skein and subdivision ----------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from moytree.graph import DirectedMultigraph, Edge, is_connected
 from moytree.planar import (
     CombinatorialMap,
     Dart,
+    DecoratedDiagram,
     DiagramError,
     MapStructureError,
     decorate,
@@ -281,3 +282,5 @@ def test_decorate_rejects_bridges():
     m = plain_map([("e", "a", "b", 1)], {"a": ("e:t",), "b": ("e:h",)})
     with pytest.raises(DiagramError, match="bridge"):
         decorate(m, "e")
+    with pytest.raises(DiagramError, match="bridge"):
+        DecoratedDiagram(m, "e")
