@@ -12,10 +12,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import prod
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
 from .graphfile import FormatError, build_map, load_document
-from .kauffman import check_bijection, enumerate_states, state_sum
+from .kauffman import (
+    MAX_STATES,
+    alexander,
+    check_bijection,
+    count_states,
+    enumerate_states,
+)
 from .planar import (
     CombinatorialMap,
     DecoratedDiagram,
@@ -34,7 +41,6 @@ from .spanning import (
     count_by_enumeration,
     enumerate_trees,
     laplacian,
-    tree_weight,
 )
 
 
@@ -106,7 +112,7 @@ def _cmd_trees(args) -> int:
     trees = enumerate_trees(doc.graph, args.root, force=args.force)
     total = 0
     for tree in trees:
-        w = tree_weight(doc.graph, tree)
+        w = prod(doc.graph.edge(eid).weight for eid in tree.edges)
         total += w
         if args.list:
             print(f"tree: {' '.join(tree.sorted_edges())} weight={w}")
@@ -146,7 +152,7 @@ def _cmd_laplacian(args) -> int:
 
 def _cmd_alexander(args) -> int:
     diagram = _diagram(args)
-    poly = state_sum(diagram)
+    poly = alexander(diagram)
     print(str(poly))
     print(f"eval@1 = {poly.eval_one()}")
     return 0
@@ -154,6 +160,11 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_states(args) -> int:
     diagram = _diagram(args)
+    if not args.force and (count := count_states(diagram)) > MAX_STATES:
+        raise EnumerationLimitError(
+            f"{count} states exceeds the enumeration limit of {MAX_STATES}; "
+            "pass --force to override"
+        )
     states = enumerate_states(diagram)
     for k, state in enumerate(states, start=1):
         print(f"state {k}:")
@@ -257,6 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("states", help="list the Kauffman states")
     p.add_argument("file")
     p.add_argument("--edge", help="basepoint override")
+    p.add_argument("--force", action="store_true", help="ignore the size guard")
     p.set_defaults(func=_cmd_states)
 
     p = sub.add_parser("bijection", help="check the tree/state bijection")

@@ -246,6 +246,19 @@ def random_plane_map(
     return m
 
 
+def grow_map(rng: random.Random, m: CombinatorialMap, edges: int) -> CombinatorialMap:
+    """Grow a plane map to ``edges`` edges: each step picks an edge and,
+    half the time when its weight is at least 2, splits it into two
+    parallels, and otherwise subdivides it."""
+    while len(m.graph.edges) < edges:
+        e = rng.choice(m.graph.edges)
+        if e.weight >= 2 and rng.random() < 0.5:
+            m = double_edge_map(m, e.id, rng.randint(1, e.weight - 1))
+        else:
+            m = subdivide_map(m, e.id)
+    return m
+
+
 def random_balanced_graph(
     rng: random.Random,
     min_vertices: int = 2,

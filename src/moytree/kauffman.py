@@ -27,6 +27,49 @@ integers; ``state_weight`` adds up the shifts and multiplies the
 quantum integers by sliding-window sums (``laurent.quantum_product``),
 so its cost is linear in the weight, not quadratic.
 
+The state sum is also one determinant (Kauffman, *Formal Knot Theory*,
+1983).  Let M have a row per crossing and a column per unmarked region,
+with s = t^(1/2) and row e of weight w scaled by s^w: west -> -1, east
+-> s^(2w), north -> s + s^3 + ... + s^(2w-1) = s^w [w], and the
+basepoint's north -> s^(2w).  A nonzero term of det M is a state, worth
+s^(sum of weights) times the state weight, times sgn(sigma) (-1)^#west.
+Two states that differ at two crossings differ by a clock move: one
+crossing turns west -> north and the other north -> east, so the move
+flips sgn(sigma) and changes #west by one.  By Kauffman's clock theorem
+clock moves join all states, so every state carries one sign and
+det M = +-s^(sum of weights) times the state sum.
+
+Peeling: a row or column with one live entry is forced in every state
+(Algorithm X's forced move, on the matrix); its entry is a factor of
+the determinant, its row and column are deleted, and that repeats.  An
+empty row or column means no state and a state sum of 0.  The basepoint
+row and every directed cycle peel completely.  The core that is left
+goes through ``spanning.bareiss`` three times:
+
+* with west -> -1 and every other entry 1, |det| is the number of
+  states (``count_states``);
+* at s = 1 (north -> w, east -> 1, west -> -1), det is the core's
+  value v, +- its state sum at t = 1, so v = 0 means no state;
+* at s = 2^K with K = bit_length(|v|) + 2 (Kronecker substitution,
+  Harvey, arXiv:0712.4046), det is read back as signed base-2^K digits.
+
+Because all states carry one sign, the core's coefficients share a sign
+and sum to v, so each is below 2^(K-2) in size and the digits are
+exactly the coefficients.  That is the certificate: digits that do not
+share one sign and one exponent parity and sum to v raise
+IdentityViolation.  Signed by v they are positive, and the peeled
+shifts and quantum weights multiply in by ``quantum_product``'s sliding
+windows, starting from them, so every coefficient of the result is
+positive.  ``state_sum_by_determinant`` always takes this road.
+
+``alexander`` chooses the backend from the input: the determinant when
+the core is empty or has at least as many states as its largest
+weight, enumeration otherwise.  Heavy cores lose because the digits of
+a weight-w entry span 2wK bits and big-int division is quadratic in
+CPython, while a handful of states costs a handful of windowed
+products.  ``enumerate_states`` and ``state_sum`` stay for ``states``,
+for ``check_bijection`` and as the oracle.
+
 States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
 other crossing takes the corner met when its dual edge is crossed while
@@ -41,12 +84,42 @@ from __future__ import annotations
 
 from collections import deque
 from math import prod
+from typing import Callable
 
 from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
-from .spanning import IdentityViolation, SpanningTree, _validate_tree
+from .spanning import IdentityViolation, SpanningTree, _validate_tree, bareiss
 
 State = dict[str, str]
+
+# ``states`` refuses to list more than this many states without --force
+MAX_STATES = 10**5
+
+
+def _options(
+    diagram: DecoratedDiagram,
+) -> tuple[list[list[tuple[int, int]]], list[bool]]:
+    """The exact-cover tables: items 0 .. n-1 are the crossings and n + r
+    is region r; ``options[x]`` lists (other item, corner index) for every
+    option covering x, and ``free[x]`` is False only for the marked
+    regions.  An option is an admissible corner in an unmarked region."""
+    n = len(diagram.crossings)
+    marked = diagram.marked
+    corner_region = diagram.corner_region
+    options: list[list[tuple[int, int]]] = [
+        [] for _ in range(n + len(diagram.regions))
+    ]
+    for i, eid in enumerate(diagram.crossings):
+        for corner in diagram.admissible_corners(eid):
+            region = corner_region[eid, corner]
+            if region not in marked:
+                c = CORNERS.index(corner)
+                options[i].append((n + region, c))
+                options[n + region].append((i, c))
+    free = [True] * len(options)
+    for region in marked:
+        free[n + region] = False
+    return options, free
 
 
 def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
@@ -70,24 +143,8 @@ def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
     """
     crossings = diagram.crossings
     n = len(crossings)
-    marked = diagram.marked
-    corner_region = diagram.corner_region
-    # items 0 .. n-1 are crossings, n + r is region r; options[x] lists
-    # (other item, corner index) for every option covering x
-    options: list[list[tuple[int, int]]] = [
-        [] for _ in range(n + len(diagram.regions))
-    ]
-    for i, eid in enumerate(crossings):
-        for corner in diagram.admissible_corners(eid):
-            region = corner_region[eid, corner]
-            if region not in marked:
-                c = CORNERS.index(corner)
-                options[i].append((n + region, c))
-                options[n + region].append((i, c))
+    options, free = _options(diagram)
     live = [len(o) for o in options]
-    free = [True] * len(options)
-    for region in marked:
-        free[n + region] = False
 
     choice = [0] * n
     trail: list[tuple[int, int]] = []  # moves made, undone in reverse
@@ -159,25 +216,30 @@ def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
     return [dict(zip(crossings, map(CORNERS.__getitem__, f))) for f in found]
 
 
+def _crossing_weight(diagram: DecoratedDiagram, edge_id: str) -> int:
+    w = diagram.map.graph.edge(edge_id).weight
+    if w < 1:
+        raise ValueError(f"edge {edge_id!r}: crossing weight must be positive")
+    return w
+
+
 def _local_factor(
     diagram: DecoratedDiagram, edge_id: str, corner: str
 ) -> tuple[int, int | None]:
     """One crossing's local weight as (doubled shift, quantum weight or
     None): the weight is t^(shift / 2), times [quantum weight] if any."""
-    e = diagram.map.graph.edge(edge_id)
     if corner not in CORNERS:
         raise ValueError(f"unknown corner {corner!r}")
-    if e.weight < 1:
-        raise ValueError(f"edge {edge_id!r}: crossing weight must be positive")
+    w = _crossing_weight(diagram, edge_id)
     if edge_id == diagram.basepoint:
         if corner != NORTH:
             raise ValueError("the basepoint crossing only admits the north corner")
-        return e.weight, None
+        return w, None
     if corner == NORTH:
-        return 0, e.weight
+        return 0, w
     if corner == WEST:
-        return -e.weight, None
-    return e.weight, None
+        return -w, None
+    return w, None
 
 
 def local_weight(diagram: DecoratedDiagram, edge_id: str, corner: str) -> HalfLaurent:
@@ -209,6 +271,164 @@ def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
     for state in enumerate_states(diagram):
         total = total + state_weight(diagram, state)
     return total
+
+
+# -- the determinant backend ---------------------------------------------------
+
+_N, _W, _E = map(CORNERS.index, (NORTH, WEST, EAST))
+
+_Core = list[tuple[int, list[tuple[int, int]]]]
+
+
+def _peel(diagram: DecoratedDiagram) -> tuple[list[tuple[int, int]], _Core] | None:
+    """Peel every forced entry off the crossing x unmarked-region matrix.
+
+    A row or column with one live entry forces it: the entry is recorded
+    as (crossing, corner index) and its row and column are deleted, which
+    may leave other rows or columns with one entry.  Returns the forced
+    entries and the core, the rows left, each as (crossing, [(column,
+    corner index), ...]); None when a row or column runs empty, so the
+    diagram has no state.
+    """
+    n = len(diagram.crossings)
+    options, free = _options(diagram)
+    live = [len(o) for o in options]
+    queue = [x for x, count in enumerate(live) if count <= 1 and free[x]]
+    forced: list[tuple[int, int]] = []
+    while queue:
+        x = queue.pop()
+        if not free[x]:
+            continue
+        if live[x] == 0:
+            return None
+        for y, c in options[x]:
+            if free[y]:
+                break
+        free[x] = free[y] = False
+        forced.append((x if x < n else y, c))
+        for item in (x, y):
+            for z, _ in options[item]:
+                if free[z]:
+                    live[z] -= 1
+                    if live[z] <= 1:
+                        queue.append(z)
+    column = {r: k for k, r in enumerate(r for r in range(n, len(options)) if free[r])}
+    return forced, [
+        (i, [(column[y], c) for y, c in options[i] if free[y]])
+        for i in range(n)
+        if free[i]
+    ]
+
+
+def _core_det(core: _Core, entry: Callable[[int, int], int]) -> int:
+    """The core's determinant with entry(crossing, corner index) in each
+    live position."""
+    return bareiss([{j: entry(i, c) for j, c in row} for i, row in core])[1]
+
+
+def _state_count(core: _Core) -> int:
+    return abs(_core_det(core, lambda i, c: -1 if c == _W else 1))
+
+
+def _signed_digits(value: int, width: int) -> list[int]:
+    """The digits of value in base 2^width, least significant first,
+    each in (-2^(width-1), 2^(width-1)]."""
+    bits = format(abs(value), "b")
+    sign = -1 if value < 0 else 1
+    half, full = 1 << (width - 1), 1 << width
+    digits, carry = [], 0
+    for end in range(len(bits), 0, -width):
+        d = int(bits[max(end - width, 0) : end], 2) + carry
+        carry = d > half
+        digits.append(sign * (d - full if carry else d))
+    if carry:
+        digits.append(sign)
+    return digits
+
+
+def _digit_width(value: int) -> int:
+    """K: the core's coefficients share a sign and sum to its value at
+    t = 1, so each is below 2^(K-2) in size."""
+    return abs(value).bit_length() + 2
+
+
+def _determinant_sum(
+    diagram: DecoratedDiagram, forced: list[tuple[int, int]], core: _Core
+) -> HalfLaurent:
+    """The state sum from ``_peel``'s result, as the module docstring sets
+    out."""
+    crossings = diagram.crossings
+    shift, quanta = 0, []
+    for i, c in forced:
+        s, quantum = _local_factor(diagram, crossings[i], CORNERS[c])
+        shift += s
+        if quantum is not None:
+            quanta.append(quantum)
+    if not core:
+        return quantum_product(quanta, shift)
+    w = {i: _crossing_weight(diagram, crossings[i]) for i, _ in core}
+    value = _core_det(core, lambda i, c: w[i] if c == _N else -1 if c == _W else 1)
+    if not value:
+        return HalfLaurent()
+    width = _digit_width(value)
+    step = (1 << 2 * width) - 1
+    entries: dict[tuple[int, int], int] = {}
+
+    def entry(i: int, c: int) -> int:
+        key = (w[i], c)
+        if key not in entries:
+            x2w = 1 << 2 * w[i] * width  # s^(2w) at s = 2^width
+            north = (x2w - 1) // step << width  # s + s^3 + ... + s^(2w-1)
+            entries[key] = -1 if c == _W else x2w if c == _E else north
+        return entries[key]
+
+    digits = _signed_digits(_core_det(core, entry), width)
+    nonzero = [k for k, d in enumerate(digits) if d]
+    if (
+        sum(digits) != value
+        or any((d > 0) != (value > 0) for d in map(digits.__getitem__, nonzero))
+        or any((k - nonzero[0]) % 2 for k in nonzero)
+    ):
+        raise IdentityViolation(
+            f"the core determinant's base-2^{width} digits do not share one "
+            f"sign and one parity and sum to its nonzero value {value} at t = 1"
+        )
+    low = nonzero[0]
+    coeffs = [abs(d) for d in digits[low : nonzero[-1] + 1 : 2]]
+    return quantum_product(quanta, shift + low - sum(w.values()), coeffs)
+
+
+def state_sum_by_determinant(diagram: DecoratedDiagram) -> HalfLaurent:
+    """The state sum as one determinant of the peeled core (module
+    docstring), whatever the input; digits that fail the certificate
+    raise IdentityViolation."""
+    peeled = _peel(diagram)
+    return HalfLaurent() if peeled is None else _determinant_sum(diagram, *peeled)
+
+
+def count_states(diagram: DecoratedDiagram) -> int:
+    """The number of Kauffman states, from one small-int determinant of
+    the peeled core with W -> -1 and every other live entry 1."""
+    peeled = _peel(diagram)
+    return 0 if peeled is None else _state_count(peeled[1])
+
+
+def alexander(diagram: DecoratedDiagram) -> HalfLaurent:
+    """The state sum by the backend the input favours: the determinant
+    when the core is empty or has at least as many states as its largest
+    weight, enumeration (``state_sum``) otherwise."""
+    peeled = _peel(diagram)
+    if peeled is None:
+        return HalfLaurent()
+    forced, core = peeled
+    count = _state_count(core)
+    if not count:
+        return HalfLaurent()
+    # every state weighs every crossing, in ``state_weight``'s sorted order
+    w = {eid: _crossing_weight(diagram, eid) for eid in sorted(diagram.crossings)}
+    if core and count < max(w[diagram.crossings[i]] for i, _ in core):
+        return state_sum(diagram)
+    return _determinant_sum(diagram, forced, core)
 
 
 def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:

@@ -24,7 +24,7 @@ the general O(|p|·|q|) product.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]], None]
 
@@ -158,23 +158,28 @@ def _check_quantum_index(i: object) -> None:
         raise ValueError(f"quantum integer defined for integers i >= 1, got {i!r}")
 
 
-def quantum_product(weights: Iterable[int], doubled_shift: int = 0) -> HalfLaurent:
-    """t^(doubled_shift / 2) * [w_1] * ... * [w_k], exactly.
+def quantum_product(
+    weights: Iterable[int], doubled_shift: int = 0, start: Sequence[int] = (1,)
+) -> HalfLaurent:
+    """t^(doubled_shift / 2) * p * [w_1] * ... * [w_k], exactly, where
+    p = start[0] + start[1] t + start[2] t^2 + ... (1 by default).
 
     Every factor has terms two doubled exponents apart, so the product
     lives on one grid of step 2 and is kept as a dense list of
-    coefficients from its lowest exponent up.  With x = t, one step of
-    the grid, [w] is t^((1 - w) / 2) * (1 + x + ... + x^(w-1)), so after
-    multiplying by it each coefficient is the sum of a window of w old
-    ones: with prefix sums P of the n old coefficients,
+    coefficients from its lowest exponent up, starting with ``start``.
+    With x = t, one step of the grid, [w] is
+    t^((1 - w) / 2) * (1 + x + ... + x^(w-1)), so after multiplying by
+    it each coefficient is the sum of a window of w old ones: with
+    prefix sums P of the n old coefficients,
 
         new[k] = P[min(k + 1, n)] - P[max(k - w + 1, 0)],
 
     one pass of O(n + w) steps instead of the O(n * w) of a general
-    product.  No weights gives the monomial t^(doubled_shift / 2).
-    Raises ValueError on a weight that is not an int >= 1.
+    product.  No weights and no start give the monomial
+    t^(doubled_shift / 2).  Raises ValueError on a weight that is not an
+    int >= 1.
     """
-    coeffs = [1]
+    coeffs = list(start)
     low = doubled_shift
     for w in weights:
         _check_quantum_index(w)

@@ -30,6 +30,7 @@ from .kauffman import (
     enumerate_states,
     local_weight,
     state_sum,
+    state_sum_by_determinant,
     state_to_tree,
     state_weight,
     tree_to_state,
@@ -98,10 +99,11 @@ def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
 
 
 def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
-    """On plane diagrams: state sum at t = 1 equals the tree count, the
-    state sum is symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), every tree's state
-    is enumerated and every state round-trips through its tree, and each
-    state weight equals the general product of its local weights."""
+    """On plane diagrams: the state sum by enumeration equals the one by
+    determinant, its value at t = 1 equals the tree count, it is
+    symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), every tree's state is enumerated
+    and every state round-trips through its tree, and each state weight
+    equals the general product of its local weights."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):
@@ -111,7 +113,8 @@ def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
         trees = enumerate_trees(m.graph, diagram.root)
         states = enumerate_states(diagram)
         poly = state_sum(diagram)
-        good = poly.eval_one() == balanced_count(m.graph) and is_symmetric(poly)
+        good = poly == state_sum_by_determinant(diagram)
+        good = good and poly.eval_one() == balanced_count(m.graph) and is_symmetric(poly)
         good = good and len(trees) == len(states)
         good = good and all(ok for _, _, ok in check_bijection(diagram, trees, states))
         for state in states:

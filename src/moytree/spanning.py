@@ -21,6 +21,8 @@ of all n root counts, n * N, and its leading minor is N itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Iterator
 
 from .graph import DirectedMultigraph, is_balanced, is_connected
 
@@ -112,17 +114,17 @@ def _check_guard(candidates: dict[str, list], n: int, force: bool) -> None:
             )
 
 
-def enumerate_trees(
-    g: DirectedMultigraph, root: str, force: bool = False
-) -> list[SpanningTree]:
-    """All spanning trees rooted at root, in canonical order.
+def _tree_edges(g: DirectedMultigraph, root: str, force: bool) -> Iterator[list]:
+    """Each spanning tree rooted at root as the list of its chosen in-edges,
+    one per non-root vertex, in canonical order (``enumerate_trees``).
+    The same list is yielded each time, changed in place between trees.
 
-    Canonical order is lexicographic in the tuple of chosen edge ids,
-    taking non-root vertices in ascending id order.  Backtracks over one
-    in-edge per non-root vertex and prunes as soon as a choice closes an
-    oriented cycle; the backtracking is a loop, not a recursion, so deep
-    graphs stay clear of the recursion limit.  Raises on an unknown root
-    or a disconnected graph, and applies a size guard unless force is set.
+    Backtracks over one in-edge per non-root vertex.  A choice closes an
+    oriented cycle exactly when its tail already lies in the chosen
+    vertex's component of the chosen edges, so the components are kept
+    in a union-find forest, union by size and no path compression, and
+    each level undoes its own union on backtrack.  Finding a component
+    takes O(log n) steps, not a walk up the parent chain.
     """
     if not g.has_vertex(root):
         raise ValueError(f"unknown root {root!r}")
@@ -135,55 +137,72 @@ def enumerate_trees(
     }
     _check_guard(candidates, len(g.vertices), force)
 
-    parent: dict[str, object] = {}
-    found: list[SpanningTree] = []
+    link = {v: v for v in g.vertices}  # union-find parent; roots link to themselves
+    size = dict.fromkeys(g.vertices, 1)
 
-    def closes_cycle(v: str, u: str) -> bool:
-        # Would parent[v] = u close a cycle among chosen edges?
-        w = u
-        while True:
-            if w == v:
-                return True
-            e = parent.get(w)
-            if e is None:
-                return False
-            w = e.tail
+    def find(v: str) -> str:
+        while link[v] != v:
+            v = link[v]
+        return v
 
+    chosen: list = [None] * len(order)
+    joined: list = [None] * len(order)  # the root each level linked below another
     # the search stands at order[i]; next_option[j] is the index in
     # candidates[order[j]] to try next on every level j
     next_option = [0] * len(order)
     i = 0
     while i >= 0:
         if i == len(order):
-            found.append(
-                SpanningTree(root, frozenset(e.id for e in parent.values()))
-            )
+            yield chosen
             i -= 1
             continue
-        v = order[i]
-        parent.pop(v, None)
-        options = candidates[v]
+        below = joined[i]
+        if below is not None:
+            size[link[below]] -= size[below]
+            link[below] = below
+            joined[i] = None
+        options = candidates[order[i]]
+        own = find(order[i])
         k = next_option[i]
-        while k < len(options) and closes_cycle(v, options[k].tail):
+        while k < len(options) and (other := find(options[k].tail)) == own:
             k += 1
         if k == len(options):
             next_option[i] = 0
             i -= 1
         else:
-            parent[v] = options[k]
+            below, above = (own, other) if size[own] <= size[other] else (other, own)
+            link[below] = above
+            size[above] += size[below]
+            joined[i] = below
+            chosen[i] = options[k]
             next_option[i] = k + 1
             i += 1
-    return found
+
+
+def enumerate_trees(
+    g: DirectedMultigraph, root: str, force: bool = False
+) -> list[SpanningTree]:
+    """All spanning trees rooted at root, in canonical order.
+
+    Canonical order is lexicographic in the tuple of chosen edge ids,
+    taking non-root vertices in ascending id order.  The backtracking is a
+    loop, not a recursion, so deep graphs stay clear of the recursion
+    limit, and its cycle test is a union-find lookup (``_tree_edges``).
+    Raises on an unknown root or a disconnected graph, and applies a size
+    guard unless force is set.
+    """
+    return [
+        SpanningTree(root, frozenset(e.id for e in edges))
+        for edges in _tree_edges(g, root, force)
+    ]
 
 
 def count_by_enumeration(
     g: DirectedMultigraph, root: str, force: bool = False
 ) -> int:
-    """N(g, root) as a sum of tree weights over the enumeration."""
-    total = 0
-    for tree in enumerate_trees(g, root, force=force):
-        total += tree_weight(g, tree)
-    return total
+    """N(g, root) as a sum of tree weights over the enumeration; each
+    weight multiplies the chosen edges' weights as they are found."""
+    return sum(prod(e.weight for e in edges) for edges in _tree_edges(g, root, force))
 
 
 def _transposed_laplacian(g: DirectedMultigraph, last: int) -> list[dict[int, int]]:

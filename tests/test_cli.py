@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from moytree import cli, spanning
+from moytree import cli, kauffman, spanning
 from moytree.cli import main
-from moytree.generate import seed_cycle
+from moytree.generate import grow_map, seed_cycle, seed_prism
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
 from moytree.planar import CombinatorialMap, Dart
@@ -252,6 +253,20 @@ def test_refused_bijection_prints_nothing_on_stdout(capsys, tmp_path):
     assert err == "error: edge 'e': crossing weight must be positive\n"
 
 
+def test_alexander_names_the_first_nonpositive_weight_in_sorted_order(capsys, tmp_path):
+    # the peel forces f first; the state sum weighs e before f
+    g = DirectedMultigraph(["a", "b"], [Edge("f", "a", "b", 0), Edge("e", "b", "a", 0)])
+    rotation = {
+        "a": (Dart("f", "t"), Dart("e", "h")),
+        "b": (Dart("e", "t"), Dart("f", "h")),
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(map_text(CombinatorialMap(g, rotation), basepoint="f"), encoding="utf-8")
+    code, out, err = run(capsys, ["alexander", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: edge 'e': crossing weight must be positive\n"
+
+
 DIAGRAM_COMMANDS = ("alexander", "states", "bijection")
 
 
@@ -488,6 +503,47 @@ def test_state_enumeration_is_not_bounded_by_recursion(capsys, tmp_path):
     code, out, err = run(capsys, ["alexander", str(path)])
     # one state: the basepoint's t^(1/2) times [1] at every other crossing
     assert (code, out, err) == (0, "t^{1/2}\neval@1 = 1\n", "")
+
+
+def test_states_guard_refuses_above_the_limit(capsys, tmp_path, monkeypatch, lens_map):
+    # 1.8e8 states, counted by one small determinant in well under a second
+    big = grow_map(random.Random(1), seed_prism(9, 9, 9), 150)
+    path = tmp_path / "grown.json"
+    path.write_text(map_text(big, big.graph.edges[0].id), encoding="utf-8")
+    code, out, err = run(capsys, ["states", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 183140352 states exceeds the enumeration limit of "
+        f"{kauffman.MAX_STATES}; pass --force to override\n"
+    )
+    # the lens from e12 has 3 states: over a limit of 2 unless forced
+    monkeypatch.setattr(cli, "MAX_STATES", 2)
+    path = tmp_path / "lens.json"
+    path.write_text(map_text(lens_map, basepoint="e12"), encoding="utf-8")
+    code, out, err = run(capsys, ["states", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 3 states exceeds the enumeration limit of 2")
+    code, out, err = run(capsys, ["states", str(path), "--force"])
+    assert (code, err) == (0, "")
+    assert out.endswith("\ncount=3\n")
+
+
+def test_alexander_on_a_map_past_enumeration(capsys, tmp_path):
+    # 150 edges, 1.8e8 states: the determinant backend, checked at t = 1
+    big = grow_map(random.Random(1), seed_prism(9, 9, 9), 150)
+    path = tmp_path / "grown.json"
+    path.write_text(map_text(big, big.graph.edges[0].id), encoding="utf-8")
+    _, det, _ = run(capsys, ["count", str(path), "--method", "det"])
+    code, out, err = run(capsys, ["alexander", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "eval@1 = " + det.removeprefix("det=").strip()
+
+
+def test_tree_enumeration_is_linear_on_a_deep_cycle(capsys, tmp_path):
+    path = tmp_path / "cycle6000.json"
+    path.write_text(document_text(seed_cycle(6000, 1).graph), encoding="utf-8")
+    code, out, err = run(capsys, ["count", str(path), "--method", "enum", "--force"])
+    assert (code, out, err) == (0, "enum=1\n", "")
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -8,18 +8,34 @@ from operator import mul
 
 import pytest
 
-from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle
+from moytree import kauffman
+from moytree.generate import (
+    grow_map,
+    random_plane_map,
+    seed_cycle,
+    seed_lens_triangle,
+    seed_prism,
+)
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
+    alexander,
     check_bijection,
+    count_states,
     enumerate_states,
     local_weight,
     state_sum,
+    state_sum_by_determinant,
     state_to_tree,
     state_weight,
     tree_to_state,
 )
-from moytree.laurent import ONE, equal_up_to_shift, monomial, quantum_integer
+from moytree.laurent import (
+    ONE,
+    equal_up_to_shift,
+    is_symmetric,
+    monomial,
+    quantum_integer,
+)
 from moytree.planar import CombinatorialMap, Dart, decorate
 from moytree.spanning import (
     IdentityViolation,
@@ -293,3 +309,78 @@ def test_two_cycle_diagram_by_hand():
     assert states == [{"e": "N", "f": "N"}]
     assert state_sum(diagram) == monomial(1, 3) * quantum_integer(3)
     assert state_sum(diagram).eval_one() == 3 == balanced_count(diagram.map.graph)
+
+
+# -- the determinant backend ------------------------------------------------------------
+
+
+def test_determinant_equals_enumeration_on_random_diagrams():
+    rng = random.Random(300)
+    pairs = 0
+    for _ in range(300):
+        m = random_plane_map(rng, max_vertices=8, max_weight=5)
+        for e in m.graph.edges[:3]:
+            diagram = decorate(m, e.id)
+            assert state_sum_by_determinant(diagram) == state_sum(diagram)
+            assert count_states(diagram) == len(enumerate_states(diagram))
+            pairs += 1
+    assert pairs > 800
+
+
+def test_the_lens_golden_by_determinant(lens_diagram):
+    assert str(state_sum_by_determinant(lens_diagram)) == GOLDEN_STR
+
+
+def test_a_too_narrow_digit_width_fails_the_certificate(monkeypatch):
+    # coefficients up to about 2^6: digits 4 bits wide overlap and carry
+    diagram = decorate(seed_prism(1, 2, 3), "oa")
+    assert state_sum_by_determinant(diagram) == state_sum(diagram)
+    monkeypatch.setattr(kauffman, "_digit_width", lambda value: 4)
+    with pytest.raises(IdentityViolation, match="base-2\\^4 digits"):
+        state_sum_by_determinant(diagram)
+
+
+def test_determinant_backend_on_a_grown_map():
+    # 120 edges and 1.2 million states: far past enumeration
+    m = grow_map(random.Random(1), seed_prism(9, 9, 9), 120)
+    diagram = decorate(m, m.graph.edges[0].id)
+    assert count_states(diagram) == 1202688
+    p = state_sum_by_determinant(diagram)
+    assert p.eval_one() == balanced_count(m.graph)
+    assert is_symmetric(p)
+
+
+def test_a_diagram_without_states_sums_to_zero():
+    # two parallel edges a -> b: nothing reaches a from the root b
+    g = DirectedMultigraph(["a", "b"], [Edge("e", "a", "b", 1), Edge("f", "a", "b", 2)])
+    m = CombinatorialMap(
+        g, {"a": (Dart("e", "t"), Dart("f", "t")), "b": (Dart("f", "h"), Dart("e", "h"))}
+    )
+    diagram = decorate(m, "e")
+    assert enumerate_states(diagram) == []
+    assert count_states(diagram) == 0
+    assert not state_sum_by_determinant(diagram)
+    assert not alexander(diagram)
+
+
+@pytest.mark.parametrize(
+    "m, basepoint, enumerates",
+    [
+        (seed_cycle(3, 500), "e0", False),  # empty core
+        (seed_prism(1, 2, 3), "oa", False),  # 12 states against weight 3
+        (seed_lens_triangle(150, 150, 150), "e21", True),  # 2 against 300
+        (seed_prism(100, 100, 100), "oa", True),  # 12 against 100
+    ],
+)
+def test_alexander_chooses_its_backend_from_the_input(monkeypatch, m, basepoint, enumerates):
+    diagram = decorate(m, basepoint)
+    expected = state_sum(diagram)
+    calls = []
+
+    def spy(d):
+        calls.append(d)
+        return expected
+
+    monkeypatch.setattr(kauffman, "state_sum", spy)
+    assert alexander(diagram) == expected
+    assert bool(calls) == enumerates

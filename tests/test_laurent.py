@@ -238,6 +238,14 @@ def test_quantum_product_edge_cases():
         assert quantum_product(weights, shift) == chained_product(weights, shift)
 
 
+def test_quantum_product_starts_from_given_coefficients():
+    # t^(1/2) * (3 + t^2) * [2] * [3]
+    start = HalfLaurent({1: 3, 5: 1})
+    expected = start * quantum_integer(2) * quantum_integer(3)
+    assert quantum_product([2, 3], 1, (3, 0, 1)) == expected
+    assert quantum_product([], 1, (3, 0, 1)) == start
+
+
 def test_quantum_product_rejects_bad_weights():
     for bad in (0, -1, -1000, True, False, 2.0):
         with pytest.raises(ValueError, match="i >= 1"):
