@@ -17,6 +17,7 @@ from math import prod
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
 from .graphfile import FormatError, build_map, load_document
 from .kauffman import (
+    MAX_SPAN,
     MAX_STATES,
     alexander,
     check_bijection,
@@ -150,8 +151,23 @@ def _cmd_laplacian(args) -> int:
     return 0
 
 
+def _refuse_many_states(args, diagram: DecoratedDiagram) -> None:
+    if not args.force and (count := count_states(diagram)) > MAX_STATES:
+        raise EnumerationLimitError(
+            f"{count} states exceeds the enumeration limit of {MAX_STATES}; "
+            "pass --force to override"
+        )
+
+
 def _cmd_alexander(args) -> int:
     diagram = _diagram(args)
+    # the state sum's doubled exponents lie in [-sum(w), sum(w)]
+    span = 2 * sum(e.weight for e in diagram.map.graph.edges)
+    if not args.force and span > MAX_SPAN:
+        raise EnumerationLimitError(
+            f"polynomial span 2*sum(w) = {span} exceeds the limit of {MAX_SPAN}; "
+            "pass --force to override"
+        )
     poly = alexander(diagram)
     print(str(poly))
     print(f"eval@1 = {poly.eval_one()}")
@@ -160,11 +176,7 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_states(args) -> int:
     diagram = _diagram(args)
-    if not args.force and (count := count_states(diagram)) > MAX_STATES:
-        raise EnumerationLimitError(
-            f"{count} states exceeds the enumeration limit of {MAX_STATES}; "
-            "pass --force to override"
-        )
+    _refuse_many_states(args, diagram)
     states = enumerate_states(diagram)
     for k, state in enumerate(states, start=1):
         print(f"state {k}:")
@@ -177,6 +189,7 @@ def _cmd_states(args) -> int:
 
 def _cmd_bijection(args) -> int:
     diagram = _diagram(args)
+    _refuse_many_states(args, diagram)
     trees = enumerate_trees(diagram.map.graph, diagram.root, force=args.force)
     states = enumerate_states(diagram)
     verdicts = check_bijection(diagram, trees, states)
@@ -263,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alexander", help="state-sum polynomial of a diagram")
     p.add_argument("file")
     p.add_argument("--edge", help="basepoint override")
+    p.add_argument("--force", action="store_true", help="ignore the span guard")
     p.set_defaults(func=_cmd_alexander)
 
     p = sub.add_parser("states", help="list the Kauffman states")
@@ -274,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bijection", help="check the tree/state bijection")
     p.add_argument("file")
     p.add_argument("--edge", help="basepoint override")
-    p.add_argument("--force", action="store_true", help="ignore the size guard")
+    p.add_argument("--force", action="store_true", help="ignore the size guards")
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("skein", help="verify the t=1 skein identity")

@@ -23,9 +23,14 @@ states:
     basepoint edge of weight i1: north -> t^(i1/2).
 
 A state weight is therefore t^(s/2) times a product of quantum
-integers; ``state_weight`` adds up the shifts and multiplies the
-quantum integers by sliding-window sums (``laurent.quantum_product``),
-so its cost is linear in the weight, not quadratic.
+integers; one helper adds up the shifts and lists the quantum weights
+for ``state_weight``, ``state_sum``, the peeled entries of the
+determinant and ``check_bijection``.  The quantum integers multiply by
+sliding-window sums (``laurent.quantum_coefficients``), so the cost is
+linear in the weight, not quadratic.  ``state_sum`` adds every state's
+coefficients into one table keyed by doubled exponent and builds a
+single polynomial at the end, instead of one polynomial per state and
+one per partial sum.
 
 The state sum is also one determinant (Kauffman, *Formal Knot Theory*,
 1983).  Let M have a row per crossing and a column per unmarked region,
@@ -67,8 +72,13 @@ the core is empty or has at least as many states as its largest
 weight, enumeration otherwise.  Heavy cores lose because the digits of
 a weight-w entry span 2wK bits and big-int division is quadratic in
 CPython, while a handful of states costs a handful of windowed
-products.  ``enumerate_states`` and ``state_sum`` stay for ``states``,
-for ``check_bijection`` and as the oracle.
+products, summed in one coefficient table by ``state_sum``.
+``enumerate_states`` also serves ``states`` and ``check_bijection``,
+and ``state_sum`` is the determinant's oracle.  The state sum spans at
+most 2*sum(w) doubled exponents, so the command line refuses
+``alexander`` above ``MAX_SPAN`` of them before building anything, and
+``states`` and ``bijection`` above ``MAX_STATES`` states
+(``count_states``), unless --force.
 
 States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
@@ -84,16 +94,18 @@ from __future__ import annotations
 
 from collections import deque
 from math import prod
-from typing import Callable
+from typing import Callable, Iterable
 
-from .laurent import HalfLaurent, monomial, quantum_integer, quantum_product
+from .laurent import HalfLaurent, monomial, quantum_coefficients, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
 from .spanning import IdentityViolation, SpanningTree, _validate_tree, bareiss
 
 State = dict[str, str]
 
-# ``states`` refuses to list more than this many states without --force
+# ``states`` and ``bijection`` refuse more than this many states, and
+# ``alexander`` a span 2*sum(w) above MAX_SPAN, without --force
 MAX_STATES = 10**5
+MAX_SPAN = 10**6
 
 
 def _options(
@@ -250,27 +262,44 @@ def local_weight(diagram: DecoratedDiagram, edge_id: str, corner: str) -> HalfLa
     return quantum_integer(quantum)
 
 
+def _factors(
+    diagram: DecoratedDiagram, corners: Iterable[tuple[str, str]]
+) -> tuple[list[int], int]:
+    """The local weights of (edge id, corner) pairs, taken in the order
+    given, as ``quantum_product``'s arguments: the quantum weights and
+    the sum of the doubled shifts."""
+    shift, quanta = 0, []
+    for eid, corner in corners:
+        s, quantum = _local_factor(diagram, eid, corner)
+        shift += s
+        if quantum is not None:
+            quanta.append(quantum)
+    return quanta, shift
+
+
 def state_weight(diagram: DecoratedDiagram, state: State) -> HalfLaurent:
     """Product of local weights over all crossings of one state.
 
     The monomials add up to one shift and the quantum integers multiply
     by sliding windows (``quantum_product``), linear in the span."""
-    shift = 0
-    quanta: list[int] = []
-    for eid in sorted(state):
-        s, quantum = _local_factor(diagram, eid, state[eid])
-        shift += s
-        if quantum is not None:
-            quanta.append(quantum)
-    return quantum_product(quanta, shift)
+    return quantum_product(*_factors(diagram, sorted(state.items())))
 
 
 def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
-    """The diagram's state-sum polynomial (sum of state weights)."""
-    total = HalfLaurent()
+    """The diagram's state-sum polynomial (sum of state weights).
+
+    Every state's coefficients (``quantum_coefficients``) add into one
+    table keyed by doubled exponent, and one polynomial is built at the
+    end.  The states' monomial shifts differ in parity (their quantum
+    integers make up the difference), so the key is the exponent itself,
+    not a position on a grid anchored at one state.
+    """
+    table: dict[int, int] = {}
     for state in enumerate_states(diagram):
-        total = total + state_weight(diagram, state)
-    return total
+        low, coeffs = quantum_coefficients(*_factors(diagram, sorted(state.items())))
+        for d, c in zip(range(low, low + 2 * len(coeffs), 2), coeffs):
+            table[d] = table.get(d, 0) + c
+    return HalfLaurent(table)
 
 
 # -- the determinant backend ---------------------------------------------------
@@ -358,12 +387,7 @@ def _determinant_sum(
     """The state sum from ``_peel``'s result, as the module docstring sets
     out."""
     crossings = diagram.crossings
-    shift, quanta = 0, []
-    for i, c in forced:
-        s, quantum = _local_factor(diagram, crossings[i], CORNERS[c])
-        shift += s
-        if quantum is not None:
-            quanta.append(quantum)
+    quanta, shift = _factors(diagram, ((crossings[i], CORNERS[c]) for i, c in forced))
     if not core:
         return quantum_product(quanta, shift)
     w = {i: _crossing_weight(diagram, crossings[i]) for i, _ in core}
@@ -527,6 +551,6 @@ def check_bijection(
     verdicts = []
     for tree in trees:
         state = tree_to_state(diagram, tree)
-        weight = prod(_local_factor(diagram, e, state[e])[1] or 1 for e in sorted(state))
+        weight = prod(_factors(diagram, sorted(state.items()))[0])
         verdicts.append((tree, weight, tuple(map(state.get, diagram.crossings)) in known))
     return verdicts

@@ -15,10 +15,13 @@ front of a power.
 
 Every local weight of a Kauffman state is a monomial or a quantum
 integer ``[w]``, so a state weight needs no general product:
-``quantum_product`` multiplies quantum integers on a dense coefficient
-list, where ``[w]`` is a window of ``w`` ones and multiplying by it is
-one prefix-sum pass, linear in the span.  ``HalfLaurent.__mul__`` stays
-the general O(|p|·|q|) product.
+``quantum_coefficients`` multiplies quantum integers on a dense
+coefficient list, where ``[w]`` is a window of ``w`` ones and multiplying
+by it is one prefix-sum pass, linear in the span.  It returns the lowest
+doubled exponent and the list, so a caller summing many such products
+(``kauffman.state_sum``) adds lists into one table and builds a single
+polynomial; ``quantum_product`` wraps one list as a ``HalfLaurent``.
+``HalfLaurent.__mul__`` stays the general O(|p|·|q|) product.
 """
 
 from __future__ import annotations
@@ -158,11 +161,13 @@ def _check_quantum_index(i: object) -> None:
         raise ValueError(f"quantum integer defined for integers i >= 1, got {i!r}")
 
 
-def quantum_product(
+def quantum_coefficients(
     weights: Iterable[int], doubled_shift: int = 0, start: Sequence[int] = (1,)
-) -> HalfLaurent:
+) -> tuple[int, list[int]]:
     """t^(doubled_shift / 2) * p * [w_1] * ... * [w_k], exactly, where
-    p = start[0] + start[1] t + start[2] t^2 + ... (1 by default).
+    p = start[0] + start[1] t + start[2] t^2 + ... (1 by default), as
+    (lowest doubled exponent, coefficients): the list's k-th entry is the
+    coefficient of doubled exponent low + 2k.
 
     Every factor has terms two doubled exponents apart, so the product
     lives on one grid of step 2 and is kept as a dense list of
@@ -175,9 +180,7 @@ def quantum_product(
         new[k] = P[min(k + 1, n)] - P[max(k - w + 1, 0)],
 
     one pass of O(n + w) steps instead of the O(n * w) of a general
-    product.  No weights and no start give the monomial
-    t^(doubled_shift / 2).  Raises ValueError on a weight that is not an
-    int >= 1.
+    product.  Raises ValueError on a weight that is not an int >= 1.
     """
     coeffs = list(start)
     low = doubled_shift
@@ -192,6 +195,15 @@ def quantum_product(
         lower = [0] * pad + prefix[:-1]
         coeffs = [a - b for a, b in zip(upper, lower)]
         low -= pad
+    return low, coeffs
+
+
+def quantum_product(
+    weights: Iterable[int], doubled_shift: int = 0, start: Sequence[int] = (1,)
+) -> HalfLaurent:
+    """``quantum_coefficients`` as a polynomial.  No weights and no start
+    give the monomial t^(doubled_shift / 2)."""
+    low, coeffs = quantum_coefficients(weights, doubled_shift, start)
     return HalfLaurent(zip(range(low, low + 2 * len(coeffs), 2), coeffs))
 
 

@@ -6,6 +6,7 @@ import json
 import random
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -526,6 +527,43 @@ def test_states_guard_refuses_above_the_limit(capsys, tmp_path, monkeypatch, len
     code, out, err = run(capsys, ["states", str(path), "--force"])
     assert (code, err) == (0, "")
     assert out.endswith("\ncount=3\n")
+
+
+def test_bijection_guard_refuses_above_the_state_limit(capsys, tmp_path, monkeypatch, lens_map):
+    # the lens from e12 has 3 states: over a limit of 2 unless forced
+    monkeypatch.setattr(cli, "MAX_STATES", 2)
+    path = tmp_path / "lens.json"
+    path.write_text(map_text(lens_map, basepoint="e12"), encoding="utf-8")
+    code, out, err = run(capsys, ["bijection", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 3 states exceeds the enumeration limit of 2")
+    code, out, err = run(capsys, ["bijection", str(path), "--force"])
+    assert (code, err) == (0, "")
+    assert out.endswith("\nbijection=ok\n")
+
+
+def test_alexander_guard_refuses_a_heavy_span(capsys, tmp_path, monkeypatch, lens_file):
+    # a 3-cycle of weight 10^7 spans 6e7 exponents: refused before any product
+    path = tmp_path / "heavy.json"
+    path.write_text(map_text(seed_cycle(3, 10**7), basepoint="e0"), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["alexander", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: polynomial span 2*sum(w) = 60000000 exceeds the limit of "
+        f"{kauffman.MAX_SPAN}; pass --force to override\n"
+    )
+    # the lens's weights sum to 15: a span of 30, over a limit of 29 unless forced
+    monkeypatch.setattr(cli, "MAX_SPAN", 29)
+    code, out, err = run(capsys, ["alexander", lens_file])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: polynomial span 2*sum(w) = 30 exceeds the limit of 29;")
+    code, out, err = run(capsys, ["alexander", lens_file, "--force"])
+    assert (code, err) == (0, "")
+    assert out.endswith("\neval@1 = 20\n")
+    monkeypatch.setattr(cli, "MAX_SPAN", 30)
+    assert run(capsys, ["alexander", lens_file]) == (0, out, "")
 
 
 def test_alexander_on_a_map_past_enumeration(capsys, tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -31,6 +31,7 @@ from moytree.kauffman import (
 )
 from moytree.laurent import (
     ONE,
+    HalfLaurent,
     equal_up_to_shift,
     is_symmetric,
     monomial,
@@ -325,6 +326,41 @@ def test_determinant_equals_enumeration_on_random_diagrams():
             assert count_states(diagram) == len(enumerate_states(diagram))
             pairs += 1
     assert pairs > 800
+
+
+def test_three_backends_agree_on_random_diagrams():
+    # state_sum's one table, a HalfLaurent sum of state weights, and the
+    # determinant; in some diagrams the states' monomial shifts (before
+    # the quantum integers) differ in parity
+    rng = random.Random(15)
+    mixed = 0
+    for _ in range(200):
+        m = random_plane_map(rng, 8, 9)
+        diagram = decorate(m, rng.choice(m.graph.edges).id)
+        states = enumerate_states(diagram)
+        expected = reduce(add, (state_weight(diagram, s) for s in states), HalfLaurent())
+        assert state_sum(diagram) == expected
+        assert state_sum_by_determinant(diagram) == expected
+        shifts = {kauffman._factors(diagram, sorted(s.items()))[1] % 2 for s in states}
+        mixed += len(shifts) == 2
+    assert mixed >= 50
+
+
+def test_state_sum_on_a_heavy_prism_matches_the_determinant():
+    diagram = decorate(seed_prism(40, 50, 60), "oa")
+    assert state_sum(diagram) == state_sum_by_determinant(diagram)
+
+
+def test_state_sum_builds_one_polynomial(monkeypatch):
+    diagram = decorate(seed_prism(4, 5, 6), "oa")
+    expected = state_sum_by_determinant(diagram)
+
+    def refuse(self, other):
+        raise AssertionError("state_sum added two polynomials")
+
+    monkeypatch.setattr(HalfLaurent, "__add__", refuse)
+    assert len(enumerate_states(diagram)) == 12
+    assert state_sum(diagram) == expected
 
 
 def test_the_lens_golden_by_determinant(lens_diagram):

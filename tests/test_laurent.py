@@ -15,6 +15,7 @@ from moytree.laurent import (
     equal_up_to_shift,
     is_symmetric,
     monomial,
+    quantum_coefficients,
     quantum_integer,
     quantum_product,
 )
@@ -244,6 +245,8 @@ def test_quantum_product_starts_from_given_coefficients():
     expected = start * quantum_integer(2) * quantum_integer(3)
     assert quantum_product([2, 3], 1, (3, 0, 1)) == expected
     assert quantum_product([], 1, (3, 0, 1)) == start
+    # the same product as its lowest doubled exponent and dense coefficients
+    assert quantum_coefficients([2, 3], 1, (3, 0, 1)) == (-2, [3, 6, 7, 5, 2, 1])
 
 
 def test_quantum_product_rejects_bad_weights():
