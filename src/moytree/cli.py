@@ -59,8 +59,6 @@ def _diagram(args) -> DecoratedDiagram:
         raise FormatError(
             "basepoint: required for this command; set it in the file or pass --edge"
         )
-    if not doc.graph.has_edge(basepoint):
-        raise ValueError(f"unknown edge {basepoint!r}")
     return decorate(m, basepoint)
 
 

@@ -126,7 +126,11 @@ def is_balanced(g: DirectedMultigraph) -> bool:
     A self-loop adds its weight to both sides, so it never changes the
     verdict.
     """
-    return all(g.in_weight(v) == g.out_weight(v) for v in g.vertices)
+    net = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        net[e.tail] += e.weight
+        net[e.head] -= e.weight
+    return not any(net.values())
 
 
 def _undirected_component(g: DirectedMultigraph, start: str) -> set[str]:
@@ -134,11 +138,11 @@ def _undirected_component(g: DirectedMultigraph, start: str) -> set[str]:
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for e in g.out_edges(v):
+        for e in g._out[v]:
             if e.head not in seen:
                 seen.add(e.head)
                 queue.append(e.head)
-        for e in g.in_edges(v):
+        for e in g._in[v]:
             if e.tail not in seen:
                 seen.add(e.tail)
                 queue.append(e.tail)
@@ -155,8 +159,7 @@ def _reachable(g: DirectedMultigraph, start: str, forward: bool) -> set[str]:
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        edges = g.out_edges(v) if forward else g.in_edges(v)
-        for e in edges:
+        for e in (g._out if forward else g._in)[v]:
             w = e.head if forward else e.tail
             if w not in seen:
                 seen.add(w)

@@ -21,10 +21,10 @@ import json
 from typing import NamedTuple
 
 from .graph import DirectedMultigraph, Edge
-from .planar import CombinatorialMap, Dart
+from .planar import HEAD, TAIL, CombinatorialMap, Dart
 
 TOP_FIELDS = ("vertices", "edges", "rotation", "basepoint")
-EDGE_FIELDS = ("id", "tail", "head", "weight")
+EDGE_FIELDS = frozenset(("id", "tail", "head", "weight"))
 
 
 class FormatError(ValueError):
@@ -35,12 +35,6 @@ class GraphDocument(NamedTuple):
     graph: DirectedMultigraph
     rotation: dict[str, tuple[Dart, ...]] | None
     basepoint: str | None
-
-
-def _expect_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise FormatError(f"{where}: expected string, got {value!r}")
-    return value
 
 
 def parse_document(text: str) -> GraphDocument:
@@ -59,36 +53,32 @@ def parse_document(text: str) -> GraphDocument:
         if field not in raw:
             raise FormatError(f"top level: missing required field {field!r}")
 
-    if not isinstance(raw["vertices"], list):
+    vertices = raw["vertices"]
+    if not isinstance(vertices, list):
         raise FormatError("vertices: expected a list")
-    vertices = [
-        _expect_str(v, f"vertices[{i}]") for i, v in enumerate(raw["vertices"])
-    ]
+    for i, v in enumerate(vertices):
+        if not isinstance(v, str):
+            raise FormatError(f"vertices[{i}]: expected string, got {v!r}")
 
     if not isinstance(raw["edges"], list):
         raise FormatError("edges: expected a list")
+    # one test per check on a good record; a message only for a bad one
     edges = []
     for i, rec in enumerate(raw["edges"]):
-        where = f"edges[{i}]"
         if not isinstance(rec, dict):
-            raise FormatError(f"{where}: expected an object")
-        unknown = sorted(set(rec) - set(EDGE_FIELDS))
-        if unknown:
-            raise FormatError(f"{where}: unknown fields {unknown}")
-        missing = sorted(set(EDGE_FIELDS) - set(rec))
-        if missing:
-            raise FormatError(f"{where}: missing fields {missing}")
+            raise FormatError(f"edges[{i}]: expected an object")
+        if rec.keys() != EDGE_FIELDS:
+            unknown, missing = sorted(set(rec) - EDGE_FIELDS), sorted(EDGE_FIELDS - set(rec))
+            problem = f"unknown fields {unknown}" if unknown else f"missing fields {missing}"
+            raise FormatError(f"edges[{i}]: {problem}")
         weight = rec["weight"]
         if not isinstance(weight, int) or isinstance(weight, bool):
-            raise FormatError(f"{where}.weight: expected integer, got {weight!r}")
-        edges.append(
-            Edge(
-                _expect_str(rec["id"], f"{where}.id"),
-                _expect_str(rec["tail"], f"{where}.tail"),
-                _expect_str(rec["head"], f"{where}.head"),
-                weight,
-            )
-        )
+            raise FormatError(f"edges[{i}].weight: expected integer, got {weight!r}")
+        eid, tail, head = rec["id"], rec["tail"], rec["head"]
+        if not (isinstance(eid, str) and isinstance(tail, str) and isinstance(head, str)):
+            field = next(f for f in ("id", "tail", "head") if not isinstance(rec[f], str))
+            raise FormatError(f"edges[{i}].{field}: expected string, got {rec[field]!r}")
+        edges.append(Edge(eid, tail, head, weight))
 
     try:
         graph = DirectedMultigraph(vertices, edges)
@@ -107,19 +97,25 @@ def parse_document(text: str) -> GraphDocument:
                 raise FormatError(f"rotation.{v}: expected a list")
             darts = []
             for i, tok in enumerate(tokens):
-                where = f"rotation.{v}[{i}]"
-                try:
-                    dart = Dart.parse(_expect_str(tok, where))
-                except ValueError as exc:
-                    raise FormatError(f"{where}: {exc}") from None
-                if not graph.has_edge(dart.edge):
-                    raise FormatError(f"{where}: unknown edge {dart.edge!r}")
-                darts.append(dart)
+                # Dart.parse's split, inline; Dart.parse words a bad token
+                edge, sep, end = tok.rpartition(":") if isinstance(tok, str) else ("", "", "")
+                if not (sep and end in (TAIL, HEAD) and graph.has_edge(edge)):
+                    where = f"rotation.{v}[{i}]"
+                    if not isinstance(tok, str):
+                        raise FormatError(f"{where}: expected string, got {tok!r}")
+                    try:
+                        Dart.parse(tok)
+                    except ValueError as exc:
+                        raise FormatError(f"{where}: {exc}") from None
+                    raise FormatError(f"{where}: unknown edge {edge!r}")
+                darts.append(Dart(edge, end))
             rotation[v] = tuple(darts)
 
     basepoint = None
     if "basepoint" in raw:
-        basepoint = _expect_str(raw["basepoint"], "basepoint")
+        basepoint = raw["basepoint"]
+        if not isinstance(basepoint, str):
+            raise FormatError(f"basepoint: expected string, got {basepoint!r}")
         if not graph.has_edge(basepoint):
             raise FormatError(f"basepoint: unknown edge {basepoint!r}")
 

@@ -22,15 +22,23 @@ regions, and one crossing per edge.  Regions are numbered ints: the
 faces first, in ``faces()`` order, then the circles, in vertex order.
 Region count always satisfies |regions| = |crossings| + 2 on a
 sphere-planar map.
+
+Callers name darts as ``Dart`` tuples; a map numbers them.  With the
+edges numbered k = 0, 1, ... in id order (the order of ``graph.edges``),
+dart 2k is the head end of edge k and dart 2k + 1 its tail end, so
+twin(d) = d ^ 1.  Because "h" < "t", the numbers sort exactly as the
+``Dart`` tuples do, so faces, and with them every region number, come
+out in the same order as a walk over ``Dart``s would give them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .graph import DirectedMultigraph
+from .graph import DirectedMultigraph, Edge
 
 TAIL = "t"
 HEAD = "h"
@@ -71,6 +79,11 @@ class DiagramError(ValueError):
     """The map cannot be decorated into a valid diagram."""
 
 
+def _dart(edges: Sequence[Edge], d: int) -> Dart:
+    """Dart number d of a map over the given sorted edges."""
+    return Dart(edges[d >> 1].id, TAIL if d & 1 else HEAD)
+
+
 @dataclass(frozen=True)
 class MapViolation:
     check: str
@@ -86,6 +99,10 @@ class CombinatorialMap:
     dart of every edge appears exactly once, at the vertex it is incident
     to.  Softer properties (no loops, transverse orientation, planarity)
     are reported by validate_map and enforced by decorate.
+
+    Darts are numbered as the module docstring says, in ``Dart`` order.
+    ``succ[d]`` is the dart after d counterclockwise at its vertex, and
+    ``face_of[d]`` the number of d's face in ``faces()`` order.
     """
 
     def __init__(
@@ -93,87 +110,79 @@ class CombinatorialMap:
         graph: DirectedMultigraph,
         rotation: Mapping[str, Sequence[Dart]],
     ):
-        problems: list[str] = []
-        for v in rotation:
-            if not graph.has_vertex(v):
-                problems.append(f"rotation lists unknown vertex {v!r}")
+        unknown = [v for v in rotation if not graph.has_vertex(v)]
+        problems = [f"rotation lists unknown vertex {v!r}" for v in unknown]
+        edges = graph.edges
+        # a Dart is an (edge, end) tuple, so it finds its own number here
+        number = {(e.id, HEAD): 2 * k for k, e in enumerate(edges)}
+        number.update({(e.id, TAIL): 2 * k + 1 for k, e in enumerate(edges)})
+        belongs = [v for e in edges for v in (e.head, e.tail)]  # each dart's vertex
+        seen = bytearray(len(belongs))
+        succ = [0] * len(belongs)
         rot: dict[str, tuple[Dart, ...]] = {}
-        seen: dict[Dart, str] = {}
         for v in graph.vertices:
-            darts = tuple(rotation.get(v, ()))
-            for d in darts:
-                if not isinstance(d, Dart):
-                    raise TypeError(f"rotation entries must be Dart, got {d!r}")
-                if not graph.has_edge(d.edge):
-                    problems.append(f"dart {d.token()}: unknown edge")
+            darts = rot[v] = tuple(rotation.get(v, ()))
+            ids = []
+            for dart in darts:
+                if not isinstance(dart, Dart):
+                    raise TypeError(f"rotation entries must be Dart, got {dart!r}")
+                d = number.get(dart)
+                if d is None:
+                    problems.append(f"dart {dart.token()}: unknown edge")
                     continue
-                e = graph.edge(d.edge)
-                at = e.tail if d.end == TAIL else e.head
-                if at != v:
+                if belongs[d] != v:
                     problems.append(
-                        f"dart {d.token()} listed at {v!r} but belongs at {at!r}"
+                        f"dart {dart.token()} listed at {v!r} but belongs at {belongs[d]!r}"
                     )
-                if d in seen:
-                    problems.append(f"dart {d.token()} listed more than once")
-                seen[d] = v
-            rot[v] = darts
-        for e in graph.edges:
-            for end in (TAIL, HEAD):
-                d = Dart(e.id, end)
-                if d not in seen:
-                    problems.append(f"dart {d.token()} missing from rotation")
+                if seen[d]:
+                    problems.append(f"dart {dart.token()} listed more than once")
+                seen[d] = 1
+                ids.append(d)
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                succ[a] = b
+        problems += [
+            f"dart {_dart(edges, d).token()} missing from rotation"
+            for d, hit in enumerate(seen) if not hit
+        ]
         if problems:
             raise MapStructureError("; ".join(sorted(problems)))
         self.graph = graph
         self.rotation = rot
-        succ: dict[Dart, Dart] = {}
-        for v, darts in rot.items():
-            for i, d in enumerate(darts):
-                succ[d] = darts[(i + 1) % len(darts)]
-        self._succ = succ
+        self.succ = succ
+        self._number = number
 
     def next_in_face(self, dart: Dart) -> Dart:
-        return self._succ[dart.twin()]
+        return _dart(self.graph.edges, self.succ[self._number[dart] ^ 1])
 
     @cached_property
-    def _faces(self) -> tuple[tuple[Dart, ...], ...]:
-        remaining = set(self._succ)
-        orbits: list[tuple[Dart, ...]] = []
-        for start in sorted(self._succ):
-            if start not in remaining:
-                continue
-            cycle = []
-            d = start
-            while True:
-                cycle.append(d)
-                remaining.discard(d)
-                d = self.next_in_face(d)
-                if d == start:
-                    break
-            orbits.append(tuple(cycle))
-        return tuple(orbits)
+    def face_of(self) -> list[int]:
+        succ = self.succ
+        face_of = [-1] * len(succ)
+        face = 0
+        for start in range(len(succ)):
+            if face_of[start] < 0:
+                d = start
+                while face_of[d] < 0:
+                    face_of[d] = face
+                    d = succ[d ^ 1]
+                face += 1
+        return face_of
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face orbits, each a dart cycle starting at its smallest dart,
         sorted by that dart."""
-        return self._faces
+        orbits = []
+        for start, face in enumerate(self.face_of):
+            if face == len(orbits):
+                orbit = [start]
+                while (d := self.succ[orbit[-1] ^ 1]) != start:
+                    orbit.append(d)
+                orbits.append(tuple(_dart(self.graph.edges, d) for d in orbit))
+        return tuple(orbits)
 
     def face_count(self) -> int:
         # An edgeless map still has the one outer face.
-        return len(self._faces) if self.graph.edges else 1
-
-
-def _transverse_ok(darts: Sequence[Dart]) -> bool:
-    # In-darts must form one contiguous cyclic arc: the cyclic sequence of
-    # end letters changes value either 0 times (source/sink) or twice.
-    if len(darts) < 2:
-        return True
-    changes = sum(
-        1
-        for i, d in enumerate(darts)
-        if d.end != darts[(i + 1) % len(darts)].end
-    )
-    return changes in (0, 2)
+        return max(self.face_of, default=0) + 1
 
 
 def validate_map(m: CombinatorialMap) -> list[MapViolation]:
@@ -183,22 +192,18 @@ def validate_map(m: CombinatorialMap) -> list[MapViolation]:
     and sphere planarity (V - E + F = 2).  Balance and connectivity are
     graph facts: see graph.is_balanced and graph.is_connected.
     """
-    out: list[MapViolation] = []
     g = m.graph
-    for e in g.edges:
-        if e.tail == e.head:
-            out.append(
-                MapViolation("loop", e.id, f"edge {e.id!r} is a self-loop")
-            )
-    for v in g.vertices:
-        if not _transverse_ok(m.rotation[v]):
-            out.append(
-                MapViolation(
-                    "transverse",
-                    v,
-                    f"in-darts at {v!r} do not form one contiguous arc",
-                )
-            )
+    out = [
+        MapViolation("loop", e.id, f"edge {e.id!r} is a self-loop")
+        for e in g.edges if e.tail == e.head
+    ]
+    # The in-darts at a vertex form one contiguous cyclic arc exactly when
+    # at most one in-dart is followed counterclockwise by an out-dart.
+    arcs = Counter(e.head for e, d in zip(g.edges, m.succ[::2]) if d & 1)
+    out += [
+        MapViolation("transverse", v, f"in-darts at {v!r} do not form one contiguous arc")
+        for v in g.vertices if arcs[v] > 1
+    ]
     euler = len(g.vertices) - len(g.edges) + m.face_count()
     if euler != 2:
         out.append(
@@ -232,15 +237,13 @@ class DecoratedDiagram:
         self.basepoint = basepoint
         self.root = g.edge(basepoint).head
 
-        faces = m.faces()
-        face_of = {d: k for k, orbit in enumerate(faces) for d in orbit}
-        circle_of = {v: len(faces) + i for i, v in enumerate(g.vertices)}
-        self.regions = range(len(faces) + len(g.vertices))
+        face_count = m.face_count()
+        circle_of = {v: face_count + i for i, v in enumerate(g.vertices)}
+        self.regions = range(face_count + len(g.vertices))
         self.crossings: tuple[str, ...] = tuple(e.id for e in g.edges)
 
         self.corner_region: dict[tuple[str, str], int] = {}
-        for e in g.edges:
-            east, west = face_of[Dart(e.id, TAIL)], face_of[Dart(e.id, HEAD)]
+        for e, west, east in zip(g.edges, m.face_of[::2], m.face_of[1::2]):
             if east == west:
                 raise DiagramError(
                     f"edge {e.id!r} has the same face on both sides (bridge); "
@@ -262,14 +265,14 @@ class DecoratedDiagram:
 
 def decorate(m: CombinatorialMap, basepoint: str) -> DecoratedDiagram:
     """Decorate a plane map with a basepoint; raises DiagramError when the
-    map has loops, broken transverse orientation, a nonplanar rotation, a
-    bridge (an edge with equal flanking faces), or an unknown basepoint.
+    map has loops, broken transverse orientation, a nonplanar rotation or
+    a bridge (an edge with equal flanking faces).  An unknown basepoint
+    raises graph's ValueError("unknown edge ..."), before any map check.
 
     Balance and connectivity are not required here; they are separate
     diagnostics (a disconnected map already fails the Euler check).
     """
-    if not m.graph.has_edge(basepoint):
-        raise DiagramError(f"unknown basepoint edge {basepoint!r}")
+    m.graph.edge(basepoint)
     violations = validate_map(m)
     if violations:
         details = "; ".join(

@@ -2,9 +2,10 @@
 
 Nothing here shares algorithms with the package: trees are found by
 filtering every subset of n - 1 edges against the definition, Kauffman
-states by filtering every corner assignment, determinants expand over
-permutations or eliminate over rationals, and polynomial products
-convolve raw coefficient pairs.
+states by filtering every corner assignment, faces by walking the
+rotation dict with tuple darts, determinants expand over permutations or
+eliminate over rationals, and polynomial products convolve raw
+coefficient pairs.
 Slow on purpose; keep instances small.
 """
 
@@ -69,6 +70,42 @@ def kauffman_states(diagram) -> list[dict[str, str]]:
         if len(regions) == len(crossings) and not regions & marked:
             found.append(dict(zip(crossings, corners)))
     return found
+
+
+def face_layout(rotation, basepoint):
+    """(faces, corner_region, marked) of a plane map, from its rotation
+    dict alone: {vertex: counterclockwise sequence of (edge id, end)}.
+
+    A dart's next dart along its face is the counterclockwise successor
+    of its twin at the twin's vertex; darts are plain (edge id, end)
+    tuples in dicts.  Each face starts at its smallest dart and faces are
+    sorted by it.  Regions are the faces, then one circle per vertex in
+    sorted order; edge e's north corner is the circle of the vertex
+    holding (e, "h"), east the face of (e, "t"), west the face of (e, "h").
+    """
+    succ, head = {}, {}
+    for v, darts in rotation.items():
+        for i, (edge, end) in enumerate(darts):
+            succ[edge, end] = tuple(darts[(i + 1) % len(darts)])
+            if end == "h":
+                head[edge] = v
+    faces, face_of = [], {}
+    for start in sorted(succ):
+        orbit, (edge, end) = [], start
+        while (edge, end) not in face_of:
+            face_of[edge, end] = len(faces)
+            orbit.append((edge, end))
+            edge, end = succ[edge, "t" if end == "h" else "h"]
+        if orbit:
+            faces.append(tuple(orbit))
+    circle = {v: len(faces) + i for i, v in enumerate(sorted(rotation))}
+    corner_region = {}
+    for edge, v in head.items():
+        corner_region[edge, "N"] = circle[v]
+        corner_region[edge, "E"] = face_of[edge, "t"]
+        corner_region[edge, "W"] = face_of[edge, "h"]
+    marked = tuple(sorted((face_of[basepoint, "t"], face_of[basepoint, "h"])))
+    return tuple(faces), corner_region, marked
 
 
 def det_by_permutations(rows) -> int:

@@ -13,7 +13,7 @@ import pytest
 
 from moytree import cli, kauffman, spanning
 from moytree.cli import main
-from moytree.generate import grow_map, seed_cycle, seed_prism
+from moytree.generate import grow_map, seed_cycle, seed_prism, seed_theta
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
 from moytree.planar import CombinatorialMap, Dart
@@ -302,6 +302,26 @@ def test_diagram_commands_reject_unknown_edge(capsys, tmp_path, lens_map, comman
     assert code == 2
     assert out == ""
     assert err == "error: unknown edge 'nope'\n"
+
+
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS)
+def test_unknown_edge_outranks_an_undecoratable_map(capsys, tmp_path, command):
+    # the basepoint is looked up before the map is checked, so a bad --edge
+    # on a nonplanar map is still a usage error (2), not a failed check (1)
+    theta = seed_theta([1, 1], [1, 1])
+    rotation = dict(theta.rotation)
+    a = list(rotation["a"])
+    a[2], a[3] = a[3], a[2]
+    rotation["a"] = tuple(a)
+    path = tmp_path / "twisted.json"
+    path.write_text(map_text(CombinatorialMap(theta.graph, rotation)), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path), "--edge", "f0"])
+    assert code == 1 and out == "" and "planar" in err
+    assert run(capsys, [command, str(path), "--edge", "zz"]) == (
+        2,
+        "",
+        "error: unknown edge 'zz'\n",
+    )
 
 
 def test_alexander_rejects_bridge_diagrams(capsys, tmp_path):

@@ -203,6 +203,112 @@ def test_rejects_bad_basepoint():
     reject(json.dumps(doc), "basepoint: unknown edge 'zz'")
 
 
+def json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return f"not valid JSON: {exc}"
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+GOOD_EDGE = {"id": "e", "tail": "a", "head": "b", "weight": 1}
+
+
+def edges_doc(*records, vertices=("a", "b")) -> str:
+    return json.dumps({"vertices": list(vertices), "edges": list(records)})
+
+
+def edge(**changes) -> dict:
+    """GOOD_EDGE with fields changed; a value of ... drops the field."""
+    merged = {**GOOD_EDGE, **changes}
+    return {k: v for k, v in merged.items() if v is not ...}
+
+
+def rotation_doc(**fields) -> str:
+    doc = base_doc()
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+BAD_TOKEN = "bad dart token {!r}: expected '<edgeId>:t' or '<edgeId>:h'"
+
+# (document, the whole FormatError text), one per branch of parse_document,
+# with the documents that pin which of two problems is reported
+PARSE_MESSAGES = {
+    "json": ("{", json_error("{")),
+    "top-not-object": ("[]", "top level: expected a JSON object"),
+    "top-unknown": (
+        '{"vertices": [], "edges": [], "zz": 1, "extra": 2}',
+        "top level: unknown fields ['extra', 'zz']",
+    ),
+    "top-no-vertices": ('{"edges": []}', "top level: missing required field 'vertices'"),
+    "top-no-edges": ('{"vertices": []}', "top level: missing required field 'edges'"),
+    "vertices-not-list": ('{"vertices": {}, "edges": []}', "vertices: expected a list"),
+    "vertex-not-string": (edges_doc(vertices=("a", 3)), "vertices[1]: expected string, got 3"),
+    "edges-not-list": ('{"vertices": ["a"], "edges": {}}', "edges: expected a list"),
+    "edge-not-object": (edges_doc(GOOD_EDGE, 3), "edges[1]: expected an object"),
+    "edge-unknown": (edges_doc(edge(x=2, y=3)), "edges[0]: unknown fields ['x', 'y']"),
+    "edge-unknown-first": (
+        edges_doc(edge(tail=..., zz=1)),
+        "edges[0]: unknown fields ['zz']",
+    ),
+    "edge-missing": (
+        edges_doc(edge(head=..., weight=...)),
+        "edges[0]: missing fields ['head', 'weight']",
+    ),
+    "weight-float": (edges_doc(edge(weight=1.5)), "edges[0].weight: expected integer, got 1.5"),
+    "weight-bool": (edges_doc(edge(weight=True)), "edges[0].weight: expected integer, got True"),
+    "weight-first": (
+        edges_doc(edge(id=5, weight=None)),
+        "edges[0].weight: expected integer, got None",
+    ),
+    "id": (edges_doc(edge(id=5, tail=None)), "edges[0].id: expected string, got 5"),
+    "tail": (edges_doc(edge(tail=None)), "edges[0].tail: expected string, got None"),
+    "head": (edges_doc(edge(head=["b"])), "edges[0].head: expected string, got ['b']"),
+    "records-before-graph": (
+        edges_doc(GOOD_EDGE, GOOD_EDGE, 3, vertices=("a", "a")),
+        "edges[2]: expected an object",
+    ),
+    "no-vertex": (edges_doc(vertices=()), "graph needs at least one vertex"),
+    "empty-vertex": (edges_doc(vertices=("",)), "vertex id must be a nonempty string, got ''"),
+    "duplicate-vertex": (edges_doc(vertices=("a", "a")), "duplicate vertex ids: ['a']"),
+    "empty-edge-id": (edges_doc(edge(id="")), "edge id must be a nonempty string, got ''"),
+    "duplicate-edge": (edges_doc(GOOD_EDGE, GOOD_EDGE), "duplicate edge id: 'e'"),
+    "unknown-tail": (edges_doc(edge(tail="x")), "edge 'e': unknown tail vertex 'x'"),
+    "unknown-head": (edges_doc(edge(head="x")), "edge 'e': unknown head vertex 'x'"),
+    "rotation-not-object": (rotation_doc(rotation=3), "rotation: expected an object"),
+    "rotation-vertex": (rotation_doc(rotation={"x": []}), "rotation: unknown vertex 'x'"),
+    "rotation-not-list": (rotation_doc(rotation={"a": 3}), "rotation.a: expected a list"),
+    "token-not-string": (
+        rotation_doc(rotation={"a": ["e:t", 5]}),
+        "rotation.a[1]: expected string, got 5",
+    ),
+    "token-bad": (rotation_doc(rotation={"a": ["e"]}), "rotation.a[0]: " + BAD_TOKEN.format("e")),
+    "token-bad-end": (
+        rotation_doc(rotation={"b": ["f:t", "e:t:x"]}),
+        "rotation.b[1]: " + BAD_TOKEN.format("e:t:x"),
+    ),
+    "token-unknown-edge": (
+        rotation_doc(rotation={"a": ["zz:t"]}),
+        "rotation.a[0]: unknown edge 'zz'",
+    ),
+    "token-colon-id": (
+        rotation_doc(rotation={"a": ["e:f:t"]}),
+        "rotation.a[0]: unknown edge 'e:f'",
+    ),
+    "basepoint-not-string": (rotation_doc(basepoint=3), "basepoint: expected string, got 3"),
+    "basepoint-unknown": (rotation_doc(basepoint="zz"), "basepoint: unknown edge 'zz'"),
+}
+
+
+@pytest.mark.parametrize("branch", PARSE_MESSAGES)
+def test_parse_messages_are_exact(branch):
+    text, message = PARSE_MESSAGES[branch]
+    with pytest.raises(FormatError) as info:
+        parse_document(text)
+    assert str(info.value) == message
+
+
 def test_rotation_structure_errors_surface_at_map_build():
     # a dart listed at the wrong vertex is a map problem, not a parse problem
     doc = base_doc()

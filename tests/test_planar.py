@@ -6,8 +6,16 @@ import random
 
 import pytest
 
-from moytree.generate import random_plane_map, seed_cycle, seed_lens_triangle, seed_theta
+from moytree.generate import (
+    grow_map,
+    random_plane_map,
+    seed_cycle,
+    seed_lens_triangle,
+    seed_prism,
+    seed_theta,
+)
 from moytree.graph import DirectedMultigraph, Edge, is_connected
+from moytree.graphfile import build_map, map_text, parse_document
 from moytree.planar import (
     CombinatorialMap,
     Dart,
@@ -17,6 +25,7 @@ from moytree.planar import (
     decorate,
     validate_map,
 )
+from oracles import face_layout
 
 
 def plain_map(records, rotation_tokens):
@@ -254,9 +263,52 @@ def test_regions_are_numbered_faces_then_circles(lens_diagram):
         assert len(set(d.regions) - set(d.marked)) == len(d.crossings)
 
 
+def labelled_cycle(rng, n):
+    """A unit directed n-cycle whose vertex and edge ids are a seeded
+    permutation, so id order (e10 < e2) is neither walk nor numeric order."""
+    vids = [f"v{i}" for i in rng.sample(range(n), n)]
+    eids = [f"e{i}" for i in rng.sample(range(n), n)]
+    edges = [Edge(eids[i], vids[i], vids[(i + 1) % n], 1) for i in range(n)]
+    rotation = {vids[i]: (Dart(eids[i], "t"), Dart(eids[i - 1], "h")) for i in range(n)}
+    return CombinatorialMap(DirectedMultigraph(vids, edges), rotation)
+
+
+def colon_ids(m):
+    """The map with each edge id e renamed "e:h": an id that ends like a
+    dart token and sorts otherwise ("e10:h" < "e1:h" but "e1" < "e10")."""
+    name = {e.id: f"{e.id}:h" for e in m.graph.edges}
+    edges = [Edge(name[e.id], e.tail, e.head, e.weight) for e in m.graph.edges]
+    rotation = {
+        v: tuple(Dart(name[d.edge], d.end) for d in darts) for v, darts in m.rotation.items()
+    }
+    return CombinatorialMap(DirectedMultigraph(m.graph.vertices, edges), rotation)
+
+
+def test_faces_and_regions_match_a_walk_of_the_rotation_dict():
+    rng = random.Random(29)
+    maps = [labelled_cycle(rng, n) for n in (11, 12, 30, 101)]
+    maps += [grow_map(rng, seed_prism(3, 4, 5), 40), grow_map(rng, seed_prism(2, 3, 4), 80)]
+    maps += [random_plane_map(rng, max_vertices=8, max_weight=5) for _ in range(200)]
+    maps += [colon_ids(m) for m in maps[:10]]
+    for m in maps:
+        basepoint = rng.choice(m.graph.edges).id
+        faces, corner_region, marked = face_layout(m.rotation, basepoint)
+        # the map as built, and as read back through the document parser
+        for built in (m, build_map(parse_document(map_text(m, basepoint)))):
+            assert built.faces() == faces
+            assert built.face_count() == len(faces)
+            d = decorate(built, basepoint)
+            assert d.regions == range(len(faces) + len(m.graph.vertices))
+            assert d.corner_region == corner_region
+            assert d.marked == marked
+
+
 def test_decorate_rejects_unknown_basepoint(lens_map):
-    with pytest.raises(DiagramError, match="unknown basepoint"):
+    # the graph's own lookup error, which the command line reports with exit 2
+    with pytest.raises(ValueError) as info:
         decorate(lens_map, "zz")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "unknown edge 'zz'"
 
 
 def test_decorate_rejects_loops():
