@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
 from math import prod
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
@@ -41,6 +42,7 @@ from .spanning import (
     count_by_determinant,
     count_by_enumeration,
     enumerate_trees,
+    iter_trees,
     laplacian,
 )
 
@@ -176,29 +178,29 @@ def _cmd_states(args) -> int:
     diagram = _diagram(args)
     _refuse_many_states(args, diagram)
     states = enumerate_states(diagram)
-    for k, state in enumerate(states, start=1):
-        print(f"state {k}:")
-        for eid in sorted(state):
-            print(f"{eid} -> {state[eid]}")
-        print()
-    print(f"count={len(states)}")
+    text = "".join(
+        f"state {k}:\n" + "".join(f"{e} -> {c}\n" for e, c in sorted(state.items())) + "\n"
+        for k, state in enumerate(states, start=1)
+    )
+    sys.stdout.write(f"{text}count={len(states)}\n")
     return 0
 
 
 def _cmd_bijection(args) -> int:
     diagram = _diagram(args)
     _refuse_many_states(args, diagram)
-    trees = enumerate_trees(diagram.map.graph, diagram.root, force=args.force)
     states = enumerate_states(diagram)
+    # as many trees as states: one tree more already fails
+    trees = list(islice(iter_trees(diagram.map.graph, diagram.root, args.force), len(states) + 1))
     verdicts = check_bijection(diagram, trees, states)
-    print(f"root={diagram.root} trees={len(trees)} states={len(states)}")
-    for tree, weight, ok in verdicts:
-        print(
-            f"tree: {' '.join(tree.sorted_edges())} -> "
-            f"{'ok' if ok else 'MISMATCH'} weight={weight}"
-        )
+    lines = [f"root={diagram.root} trees={len(trees)} states={len(states)}"]
+    lines += [
+        f"tree: {' '.join(tree.sorted_edges())} -> {'ok' if ok else 'MISMATCH'} weight={weight}"
+        for tree, weight, ok in verdicts
+    ]
     ok = len(trees) == len(states) and all(ok for _, _, ok in verdicts)
-    print(f"bijection={'ok' if ok else 'fail'}")
+    lines.append(f"bijection={'ok' if ok else 'fail'}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

@@ -6,14 +6,9 @@ The basepoint crossing is forced north (its west and east corners sit in
 the two marked regions).
 
 So a state is a perfect matching of crossings to unmarked regions, an
-exact cover, and ``enumerate_states`` finds them all with Knuth's
-Algorithm X: it keeps a count of the open options of every crossing and
-region, makes forced moves (an item with one option left) without
-branching, cuts a branch when an item has none left, and otherwise
-branches on the item with the fewest options.  The search runs on an
-explicit stack, so a diagram with thousands of crossings does not reach
-the recursion limit, and the states are sorted into canonical order
-afterwards.
+exact cover.  ``_peel`` runs Knuth's Algorithm X: it yields what the
+forced moves leave (the peel, below) and, resumed, every state, which
+``enumerate_states`` sorts into canonical order.
 
 The state sum multiplies local weights per crossing and adds over
 states:
@@ -23,14 +18,8 @@ states:
     basepoint edge of weight i1: north -> t^(i1/2).
 
 A state weight is therefore t^(s/2) times a product of quantum
-integers; one helper adds up the shifts and lists the quantum weights
-for ``state_weight``, ``state_sum``, the peeled entries of the
-determinant and ``check_bijection``.  The quantum integers multiply by
-sliding-window sums (``laurent.quantum_coefficients``), so the cost is
-linear in the weight, not quadratic.  ``state_sum`` adds every state's
-coefficients into one table keyed by doubled exponent and builds a
-single polynomial at the end, instead of one polynomial per state and
-one per partial sum.
+integers, which multiply by sliding-window sums
+(``laurent.quantum_coefficients``), linear in the weight.
 
 The state sum is also one determinant (Kauffman, *Formal Knot Theory*,
 1983).  Let M have a row per crossing and a column per unmarked region,
@@ -45,8 +34,8 @@ clock moves join all states, so every state carries one sign and
 det M = +-s^(sum of weights) times the state sum.
 
 Peeling: a row or column with one live entry is forced in every state
-(Algorithm X's forced move, on the matrix); its entry is a factor of
-the determinant, its row and column are deleted, and that repeats.  An
+(the search's forced move); its entry is a factor of the determinant,
+its row and column are deleted, and that repeats.  An
 empty row or column means no state and a state sum of 0.  The basepoint
 row and every directed cycle peel completely.  The core that is left
 goes through ``spanning.bareiss`` three times:
@@ -67,34 +56,29 @@ shifts and quantum weights multiply in by ``quantum_product``'s sliding
 windows, starting from them, so every coefficient of the result is
 positive.  ``state_sum_by_determinant`` always takes this road.
 
-``alexander`` chooses the backend from the input: the determinant when
-the core is empty or has at least as many states as its largest
-weight, enumeration otherwise.  Heavy cores lose because the digits of
-a weight-w entry span 2wK bits and big-int division is quadratic in
-CPython, while a handful of states costs a handful of windowed
-products, summed in one coefficient table by ``state_sum``.
-``enumerate_states`` also serves ``states`` and ``check_bijection``,
-and ``state_sum`` is the determinant's oracle.  The state sum spans at
-most 2*sum(w) doubled exponents, so the command line refuses
-``alexander`` above ``MAX_SPAN`` of them before building anything, and
-``states`` and ``bijection`` above ``MAX_STATES`` states
-(``count_states``), unless --force.
+``alexander`` takes enumeration (``state_sum``, also the determinant's
+oracle) for heavy cores with few states: the digits of a weight-w entry
+span 2wK bits, and big-int division is quadratic in CPython.  Without
+--force the command line refuses ``alexander`` above a span 2*sum(w) of
+``MAX_SPAN`` doubled exponents, and ``states`` and ``bijection`` above
+``MAX_STATES`` states (``count_states``).
 
 States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
 other crossing takes the corner met when its dual edge is crossed while
 growing the dual spanning tree outward from the two marked faces.
-``check_bijection`` checks it tree by tree.  ``tree_to_state`` validates
-the tree and certifies the state it builds, so the verdict is whether that
-state is among the enumerated ones; the weight at t = 1 multiplies the
-state's north quantum weights as ints, read off its corners.
+``check_bijection`` checks it tree by tree on integer tables read once
+from ``corner_region`` (``_dual``): per tree it grows the dual forest
+over lists, checks the state on a bytearray of claimed regions,
+multiplies the north weights as ints and looks the corner tuple up in a
+set; ``tree_to_state`` is the one-tree case.  The command line writes
+the ``states`` and ``bijection`` listings as one string each.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from math import prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .laurent import HalfLaurent, monomial, quantum_coefficients, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
@@ -106,6 +90,12 @@ State = dict[str, str]
 # ``alexander`` a span 2*sum(w) above MAX_SPAN, without --force
 MAX_STATES = 10**5
 MAX_SPAN = 10**6
+
+_INDEX = {corner: k for k, corner in enumerate(CORNERS)}
+_N, _W, _E = map(_INDEX.get, (NORTH, WEST, EAST))
+
+# the peel's core: the rows left as (crossing, [(column, corner index), ...])
+_Core = list[tuple[int, list[tuple[int, int]]]]
 
 
 def _options(
@@ -125,7 +115,7 @@ def _options(
         for corner in diagram.admissible_corners(eid):
             region = corner_region[eid, corner]
             if region not in marked:
-                c = CORNERS.index(corner)
+                c = _INDEX[corner]
                 options[i].append((n + region, c))
                 options[n + region].append((i, c))
     free = [True] * len(options)
@@ -134,34 +124,28 @@ def _options(
     return options, free
 
 
-def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
-    """All Kauffman states, in canonical order, each as {edge id: corner}.
+def _peel(diagram: DecoratedDiagram) -> Iterator:
+    """Algorithm X over ``_options``, as a generator.  Once the forced
+    moves are made it yields the peel: the forced entries of the crossing
+    x unmarked-region matrix, as (crossing, corner index), and its core
+    (``_Core``), or None when a row or column runs empty and there is no
+    state.  Resumed, it yields every state as corner indices in
+    ``crossings`` order.
 
-    An exact-cover search (Algorithm X): the items are the crossings and
-    the unmarked regions, and each option (crossing, corner) covers its
-    crossing and the corner's region.  ``live[x]`` counts the options
-    still open to item x, and every move adjusts the counts of the items
-    next to the two it covers.  An item whose count drops to one or zero
-    goes on a worklist: with one option it is taken without a branch,
-    with none it cuts the branch.  Only when the worklist is empty does
-    the search branch, on the free item with the fewest options.
-    Branches live on an explicit stack, so the depth of the search is
-    not bounded by Python's recursion limit.
-
-    The states are then sorted by the index in ``CORNERS`` of each
-    crossing's corner, taken in ``crossings`` order: the order in which
-    a search over crossings in edge order, corners north, west, east,
-    would find them.
+    ``live[x]`` counts the options still open to item x, and each move
+    adjusts the counts next to the two items it covers.  An item whose
+    count drops to one or zero goes on a worklist: with one option it is
+    taken without a branch, with none it cuts the branch.  Only when the
+    worklist is empty does the search branch, on the free item with the
+    fewest options, on an explicit stack, not by recursion.
     """
-    crossings = diagram.crossings
-    n = len(crossings)
+    n = len(diagram.crossings)
     options, free = _options(diagram)
     live = [len(o) for o in options]
 
     choice = [0] * n
     trail: list[tuple[int, int]] = []  # moves made, undone in reverse
     forced = [x for x, count in enumerate(live) if count <= 1 and free[x]]
-    found: list[tuple[int, ...]] = []
 
     def cover(x: int, y: int, c: int) -> None:
         """Match items x and y by corner c."""
@@ -199,33 +183,49 @@ def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
                         live[z] += 1
             free[x] = free[y] = True
 
+    if not settle():
+        yield None
+        return
+    column = {r: k for k, r in enumerate(r for r in range(n, len(options)) if free[r])}
+    yield [(i, choice[i]) for i in map(min, trail)], [
+        (i, [(column[y], c) for y, c in options[i] if free[y]])
+        for i in range(n)
+        if free[i]
+    ]
+
     # a branch frame: [item, its open options, next option, trail mark]
     stack: list[list] = []
-
-    def descend() -> None:
+    while True:
         if len(trail) == n:
-            found.append(tuple(choice))
+            yield tuple(choice)
+        else:
+            x = min((z for z in range(len(options)) if free[z]), key=live.__getitem__)
+            stack.append([x, [o for o in options[x] if free[o[0]]], 0, len(trail)])
+        while stack:  # on to the next branch that settles
+            frame = stack[-1]
+            x, open_options, k, mark = frame
+            undo(mark)
+            if k == len(open_options):
+                stack.pop()
+                continue
+            frame[2] = k + 1
+            y, c = open_options[k]
+            cover(x, y, c)
+            if settle():
+                break
+        else:
             return
-        x = min((z for z in range(len(options)) if free[z]), key=live.__getitem__)
-        stack.append([x, [o for o in options[x] if free[o[0]]], 0, len(trail)])
 
-    if settle():
-        descend()
-    while stack:
-        frame = stack[-1]
-        x, open_options, k, mark = frame
-        undo(mark)
-        if k == len(open_options):
-            stack.pop()
-            continue
-        frame[2] = k + 1
-        y, c = open_options[k]
-        cover(x, y, c)
-        if settle():
-            descend()
 
-    found.sort()
-    return [dict(zip(crossings, map(CORNERS.__getitem__, f))) for f in found]
+def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
+    """All Kauffman states as {edge id: corner} from ``_peel``, sorted by
+    the ``CORNERS`` index of each corner in ``crossings`` order, as a
+    search over crossings, corners north, west, east finds them."""
+    search = _peel(diagram)
+    if next(search) is None:
+        return []
+    crossings = diagram.crossings
+    return [dict(zip(crossings, map(CORNERS.__getitem__, f))) for f in sorted(search)]
 
 
 def _crossing_weight(diagram: DecoratedDiagram, edge_id: str) -> int:
@@ -304,51 +304,6 @@ def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
 
 # -- the determinant backend ---------------------------------------------------
 
-_N, _W, _E = map(CORNERS.index, (NORTH, WEST, EAST))
-
-_Core = list[tuple[int, list[tuple[int, int]]]]
-
-
-def _peel(diagram: DecoratedDiagram) -> tuple[list[tuple[int, int]], _Core] | None:
-    """Peel every forced entry off the crossing x unmarked-region matrix.
-
-    A row or column with one live entry forces it: the entry is recorded
-    as (crossing, corner index) and its row and column are deleted, which
-    may leave other rows or columns with one entry.  Returns the forced
-    entries and the core, the rows left, each as (crossing, [(column,
-    corner index), ...]); None when a row or column runs empty, so the
-    diagram has no state.
-    """
-    n = len(diagram.crossings)
-    options, free = _options(diagram)
-    live = [len(o) for o in options]
-    queue = [x for x, count in enumerate(live) if count <= 1 and free[x]]
-    forced: list[tuple[int, int]] = []
-    while queue:
-        x = queue.pop()
-        if not free[x]:
-            continue
-        if live[x] == 0:
-            return None
-        for y, c in options[x]:
-            if free[y]:
-                break
-        free[x] = free[y] = False
-        forced.append((x if x < n else y, c))
-        for item in (x, y):
-            for z, _ in options[item]:
-                if free[z]:
-                    live[z] -= 1
-                    if live[z] <= 1:
-                        queue.append(z)
-    column = {r: k for k, r in enumerate(r for r in range(n, len(options)) if free[r])}
-    return forced, [
-        (i, [(column[y], c) for y, c in options[i] if free[y]])
-        for i in range(n)
-        if free[i]
-    ]
-
-
 def _core_det(core: _Core, entry: Callable[[int, int], int]) -> int:
     """The core's determinant with entry(crossing, corner index) in each
     live position."""
@@ -426,14 +381,14 @@ def state_sum_by_determinant(diagram: DecoratedDiagram) -> HalfLaurent:
     """The state sum as one determinant of the peeled core (module
     docstring), whatever the input; digits that fail the certificate
     raise IdentityViolation."""
-    peeled = _peel(diagram)
+    peeled = next(_peel(diagram))
     return HalfLaurent() if peeled is None else _determinant_sum(diagram, *peeled)
 
 
 def count_states(diagram: DecoratedDiagram) -> int:
     """The number of Kauffman states, from one small-int determinant of
     the peeled core with W -> -1 and every other live entry 1."""
-    peeled = _peel(diagram)
+    peeled = next(_peel(diagram))
     return 0 if peeled is None else _state_count(peeled[1])
 
 
@@ -441,7 +396,7 @@ def alexander(diagram: DecoratedDiagram) -> HalfLaurent:
     """The state sum by the backend the input favours: the determinant
     when the core is empty or has at least as many states as its largest
     weight, enumeration (``state_sum``) otherwise."""
-    peeled = _peel(diagram)
+    peeled = next(_peel(diagram))
     if peeled is None:
         return HalfLaurent()
     forced, core = peeled
@@ -455,16 +410,21 @@ def alexander(diagram: DecoratedDiagram) -> HalfLaurent:
     return _determinant_sum(diagram, forced, core)
 
 
-def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
-    """The state matching a spanning tree rooted at head(basepoint).
+def _dual(diagram: DecoratedDiagram) -> tuple:
+    """Integer tables from ``corner_region``, the one corner geometry:
+    crossing numbers, each crossing's regions in ``CORNERS`` order, and
+    each region's west and east neighbours in ``crossings`` order."""
+    crossings = diagram.crossings
+    regions = [tuple(diagram.corner_region[e, c] for c in CORNERS) for e in crossings]
+    border: list[list[int]] = [[] for _ in diagram.regions]
+    for i, (_, west, east) in enumerate(regions):
+        border[west].append(i)
+        border[east].append(i)
+    return {e: i for i, e in enumerate(crossings)}, regions, border
 
-    Tree edges and the basepoint go north.  The remaining duals form the
-    dual spanning forest; growing it breadth-first from the two marked
-    faces over ``corner_region``, each dual edge crossed out of a grown
-    face gives its crossing the corner on the far side.  A result that
-    is not a state violates the correspondence: IdentityViolation.
-    """
-    g = diagram.map.graph
+
+def _tree_corners(diagram: DecoratedDiagram, dual: tuple, tree: SpanningTree) -> list[int]:
+    """``tree_to_state``'s state as corner indices in ``crossings`` order."""
     if tree.root != diagram.root:
         raise ValueError(
             f"tree root {tree.root!r} differs from head of basepoint "
@@ -472,49 +432,59 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
         )
     if diagram.basepoint in tree.edges:
         raise ValueError("the basepoint edge cannot belong to the tree")
-    _validate_tree(g, tree)
+    _validate_tree(diagram.map.graph, tree)
 
-    state: State = {diagram.basepoint: NORTH}
+    index, regions, border = dual
+    corners = [-1] * len(regions)
+    corners[index[diagram.basepoint]] = _N
     for eid in tree.edges:
-        state[eid] = NORTH
-
-    corner_region = diagram.corner_region
-    incident: dict[int, list[tuple[str, str]]] = {}
-    for eid in diagram.crossings:
-        if eid not in state:
-            incident.setdefault(corner_region[eid, EAST], []).append((eid, WEST))
-            incident.setdefault(corner_region[eid, WEST], []).append((eid, EAST))
-
-    queue = deque(diagram.marked)
-    while queue:
-        for eid, corner in sorted(incident.get(queue.popleft(), ())):
-            if eid not in state:
-                state[eid] = corner
-                queue.append(corner_region[eid, corner])
-
+        corners[index[eid]] = _N
+    queue = list(diagram.marked)
+    for r in queue:  # grows as it is read: breadth first
+        for i in border[r]:
+            if corners[i] < 0:
+                _, west, east = regions[i]
+                corners[i], far = (_E, east) if west == r else (_W, west)
+                queue.append(far)
     try:
-        _check_state(diagram, state)
+        _check_state(diagram, regions, corners)
     except ValueError as exc:
         raise IdentityViolation(f"tree does not induce a state: {exc}") from exc
-    return state
+    return corners
 
 
-def _check_state(diagram: DecoratedDiagram, state: State) -> None:
-    if set(state) != set(diagram.crossings):
+def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
+    """The state matching a spanning tree rooted at head(basepoint).
+
+    Tree edges and the basepoint go north.  Growing the dual forest
+    breadth-first from the two marked faces, each dual edge crossed out
+    of a grown face gives its crossing the corner on the far side.  A
+    result that is not a state violates the correspondence:
+    IdentityViolation.
+    """
+    corners = _tree_corners(diagram, _dual(diagram), tree)
+    return dict(zip(diagram.crossings, map(CORNERS.__getitem__, corners)))
+
+
+def _check_state(diagram: DecoratedDiagram, regions: list, corners: list[int]) -> None:
+    """Raise ValueError unless corners (indices, -1 for none, basepoint
+    north) make a state on ``_dual``'s regions."""
+    if -1 in corners:
         raise ValueError("state must assign a corner to every crossing")
-    claimed: dict[int, str] = {}
-    marked = set(diagram.marked)
-    for eid, corner in state.items():
-        if corner not in diagram.admissible_corners(eid):
-            raise ValueError(f"edge {eid!r}: corner {corner!r} not admissible")
-        region = diagram.corner_region[eid, corner]
-        if region in marked:
-            raise ValueError(f"edge {eid!r}: corner lies in a marked region")
-        if region in claimed:
+    crossings = diagram.crossings
+    claimed = bytearray(len(diagram.regions))  # 1 when claimed, 2 when marked
+    for r in diagram.marked:
+        claimed[r] = 2
+    for i, (row, c) in enumerate(zip(regions, corners)):
+        r = row[c]
+        if claimed[r] == 2:
+            raise ValueError(f"edge {crossings[i]!r}: corner lies in a marked region")
+        if claimed[r]:
+            first = next(j for j in range(i) if regions[j][corners[j]] == r)
             raise ValueError(
-                f"edges {claimed[region]!r} and {eid!r} claim the same region"
+                f"edges {crossings[first]!r} and {crossings[i]!r} claim the same region"
             )
-        claimed[region] = eid
+        claimed[r] = 1
     # |crossings| = |unmarked regions|, so injective means bijective.
 
 
@@ -526,7 +496,12 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     failure of the latter would contradict the correspondence theorem and
     raises IdentityViolation.
     """
-    _check_state(diagram, state)
+    if set(state) != set(diagram.crossings):
+        raise ValueError("state must assign a corner to every crossing")
+    for eid, corner in state.items():
+        if corner not in diagram.admissible_corners(eid):
+            raise ValueError(f"edge {eid!r}: corner {corner!r} not admissible")
+    _check_state(diagram, _dual(diagram)[1], [_INDEX[state[e]] for e in diagram.crossings])
     basepoint = diagram.basepoint
     north = frozenset(e for e, c in state.items() if c == NORTH and e != basepoint)
     tree = SpanningTree(diagram.root, north)
@@ -541,16 +516,18 @@ def check_bijection(
     diagram: DecoratedDiagram, trees: list[SpanningTree], states: list[State]
 ) -> list[tuple[SpanningTree, int, bool]]:
     """Every tree's verdict as (tree, weight, ok), all found before a caller
-    prints one.  ``tree_to_state`` validates the tree and certifies the
-    state it builds, which sends exactly the tree's edges north, so ok is
-    membership of that state in ``states``.  The weight multiplies the
-    quantum weights of the state's corners (``state_weight``'s rules) as
-    ints, which refuses a nonpositive edge weight.
-    """
-    known = {tuple(map(s.get, diagram.crossings)) for s in states}
+    prints one: ok is membership of the tree's state (``tree_to_state``)
+    in ``states``, and the weight multiplies its north quantum weights
+    as ints, refusing a nonpositive edge weight as ``_factors`` would."""
+    dual = _dual(diagram)
+    crossings = diagram.crossings
+    known = {tuple(map(_INDEX.get, map(s.get, crossings))) for s in states}
     verdicts = []
     for tree in trees:
-        state = tree_to_state(diagram, tree)
-        weight = prod(_factors(diagram, sorted(state.items()))[0])
-        verdicts.append((tree, weight, tuple(map(state.get, diagram.crossings)) in known))
+        corners = _tree_corners(diagram, dual, tree)
+        if not verdicts:  # weighed once the first tree is checked
+            weights = [_crossing_weight(diagram, e) for e in crossings]
+            weights[dual[0][diagram.basepoint]] = 1  # north is t^(w/2), 1 at t = 1
+        weight = prod(w for w, c in zip(weights, corners) if c == _N)
+        verdicts.append((tree, weight, tuple(corners) in known))
     return verdicts

@@ -96,10 +96,10 @@ def tree_weight(g: DirectedMultigraph, tree: SpanningTree) -> int:
     return w
 
 
-def _check_guard(candidates: dict[str, list], n: int, force: bool) -> None:
+def _check_guard(candidates: dict[str, list], n: int, force: bool, listed: bool) -> None:
     if force:
         return
-    if n > MAX_ENUM_VERTICES:
+    if listed and n > MAX_ENUM_VERTICES:
         raise EnumerationLimitError(
             f"{n} vertices exceeds the enumeration limit of "
             f"{MAX_ENUM_VERTICES}; pass force=True (--force) to override"
@@ -114,7 +114,7 @@ def _check_guard(candidates: dict[str, list], n: int, force: bool) -> None:
             )
 
 
-def _tree_edges(g: DirectedMultigraph, root: str, force: bool) -> Iterator[list]:
+def _tree_edges(g: DirectedMultigraph, root: str, force: bool, listed=True) -> Iterator[list]:
     """Each spanning tree rooted at root as the list of its chosen in-edges,
     one per non-root vertex, in canonical order (``enumerate_trees``).
     The same list is yielded each time, changed in place between trees.
@@ -123,8 +123,8 @@ def _tree_edges(g: DirectedMultigraph, root: str, force: bool) -> Iterator[list]
     oriented cycle exactly when its tail already lies in the chosen
     vertex's component of the chosen edges, so the components are kept
     in a union-find forest, union by size and no path compression, and
-    each level undoes its own union on backtrack.  Finding a component
-    takes O(log n) steps, not a walk up the parent chain.
+    each level undoes its own union on backtrack, so a lookup takes
+    O(log n) steps.
     """
     if not g.has_vertex(root):
         raise ValueError(f"unknown root {root!r}")
@@ -135,7 +135,7 @@ def _tree_edges(g: DirectedMultigraph, root: str, force: bool) -> Iterator[list]
     candidates = {
         v: [e for e in g.in_edges(v) if e.tail != v] for v in order
     }
-    _check_guard(candidates, len(g.vertices), force)
+    _check_guard(candidates, len(g.vertices), force, listed)
 
     link = {v: v for v in g.vertices}  # union-find parent; roots link to themselves
     size = dict.fromkeys(g.vertices, 1)
@@ -195,6 +195,13 @@ def enumerate_trees(
         SpanningTree(root, frozenset(e.id for e in edges))
         for edges in _tree_edges(g, root, force)
     ]
+
+
+def iter_trees(g: DirectedMultigraph, root: str, force=False) -> Iterator[SpanningTree]:
+    """``enumerate_trees`` one at a time.  The caller bounds how many it
+    takes, so the guard skips the vertex limit."""
+    for edges in _tree_edges(g, root, force, False):
+        yield SpanningTree(root, frozenset(e.id for e in edges))
 
 
 def count_by_enumeration(

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from moytree.generate import seed_lens_triangle
+from moytree.generate import double_edge_map, seed_lens_triangle, seed_prism, subdivide_map
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.planar import decorate
 from moytree.spanning import bareiss
@@ -47,3 +47,26 @@ def lens_graph(lens_map):
 @pytest.fixture
 def lens_diagram(lens_map):
     return decorate(lens_map, "e23")
+
+
+@pytest.fixture
+def doubled_prism():
+    """seed_prism(3, 3, 3) with nine edges split into nested parallels:
+    21 edges, 6 vertices and 224 states from basepoint s3."""
+    m = seed_prism(3, 3, 3)
+    for eid, weight in (
+        ("oa", 1), ("ib", 2), ("s1", 1), ("t2", 1), ("oc", 2),
+        ("ia", 1), ("t3", 2), ("s2", 1), ("ob", 1),
+    ):
+        m = double_edge_map(m, eid, weight)
+    return m, "s3"
+
+
+@pytest.fixture
+def subdivided_prism():
+    """seed_prism(2, 3, 4) with five subdivisions: 17 edges, 11 vertices
+    and 12 states from basepoint ob."""
+    m = seed_prism(2, 3, 4)
+    for eid in ("oa", "s2", "ic", "t1", "s2.1"):
+        m = subdivide_map(m, eid)
+    return m, "ob"

@@ -2,8 +2,9 @@
 
 Nothing here shares algorithms with the package: trees are found by
 filtering every subset of n - 1 edges against the definition, Kauffman
-states by filtering every corner assignment, faces by walking the
-rotation dict with tuple darts, determinants expand over permutations or
+states by filtering every corner assignment, the state of a tree by a
+breadth-first walk over string keys, faces by walking the rotation dict
+with tuple darts, determinants expand over permutations or
 eliminate over rationals, and polynomial products convolve raw
 coefficient pairs.
 Slow on purpose; keep instances small.
@@ -11,6 +12,7 @@ Slow on purpose; keep instances small.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -70,6 +72,51 @@ def kauffman_states(diagram) -> list[dict[str, str]]:
         if len(regions) == len(crossings) and not regions & marked:
             found.append(dict(zip(crossings, corners)))
     return found
+
+
+def tree_state(diagram, tree_edges) -> dict[str, str]:
+    """The corner assignment a spanning tree induces, grown over string
+    keys.  The basepoint and the tree's edges go north.  Then, breadth
+    first from the two marked regions, every other crossing on the
+    boundary of a reached region takes the corner on its far side: west
+    when reached from its east region, east from its west region, taken
+    in sorted (edge id, corner) order within a region.  Reads only
+    ``crossings``, ``corner_region``, ``marked`` and ``basepoint``."""
+    state = dict.fromkeys([diagram.basepoint, *tree_edges], "N")
+    incident = {}
+    for edge in diagram.crossings:
+        if edge not in state:
+            incident.setdefault(diagram.corner_region[edge, "E"], []).append((edge, "W"))
+            incident.setdefault(diagram.corner_region[edge, "W"], []).append((edge, "E"))
+    queue = deque(diagram.marked)
+    while queue:
+        for edge, corner in sorted(incident.get(queue.popleft(), ())):
+            if edge not in state:
+                state[edge] = corner
+                queue.append(diagram.corner_region[edge, corner])
+    return state
+
+
+def is_state(diagram, assignment) -> bool:
+    """Whether {edge id: corner} sends every crossing into its own
+    unmarked region."""
+    regions = {diagram.corner_region[e, c] for e, c in assignment.items()}
+    return (
+        len(assignment) == len(diagram.crossings) == len(regions)
+        and not regions & set(diagram.marked)
+    )
+
+
+def tree_verdict(diagram, tree_edges, states) -> tuple[int, bool]:
+    """(weight, ok) for one tree: the product of the weights of the north
+    edges of ``tree_state`` other than the basepoint, and whether that
+    assignment is a state listed in states."""
+    state = tree_state(diagram, tree_edges)
+    weight = 1
+    for edge, corner in state.items():
+        if corner == "N" and edge != diagram.basepoint:
+            weight *= diagram.map.graph.edge(edge).weight
+    return weight, is_state(diagram, state) and state in states
 
 
 def face_layout(rotation, basepoint):

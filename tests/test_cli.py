@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -16,7 +18,7 @@ from moytree.cli import main
 from moytree.generate import grow_map, seed_cycle, seed_prism, seed_theta
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
-from moytree.planar import CombinatorialMap, Dart
+from moytree.planar import HEAD, TAIL, CombinatorialMap, Dart
 
 ROOT = Path(__file__).resolve().parent.parent
 LENS_DATA = str(ROOT / "data" / "lens_triangle.json")
@@ -547,6 +549,105 @@ def test_states_guard_refuses_above_the_limit(capsys, tmp_path, monkeypatch, len
     code, out, err = run(capsys, ["states", str(path), "--force"])
     assert (code, err) == (0, "")
     assert out.endswith("\ncount=3\n")
+
+
+def test_bijection_is_bounded_by_the_state_count_not_the_vertex_count(
+    capsys, tmp_path, monkeypatch
+):
+    # 13 vertices and one state; 16 vertices and 48 states: both past the
+    # 12-vertex limit of tree enumeration, neither needs --force
+    grown = grow_map(random.Random(1), seed_prism(5, 5, 5), 30)
+    for m, count in ((seed_cycle(13, 1), 1), (grown, 48)):
+        path = tmp_path / "map.json"
+        path.write_text(map_text(m, m.graph.edges[0].id), encoding="utf-8")
+        code, out, err = run(capsys, ["bijection", str(path)])
+        assert (code, err) == (0, "")
+        assert f" trees={count} states={count}\n" in out
+        assert out.endswith("\nbijection=ok\n")
+    # with 5 of the 48 states listed, the tree enumeration stops at the sixth
+    real = cli.enumerate_states
+    monkeypatch.setattr(cli, "enumerate_states", lambda diagram: real(diagram)[:5])
+    code, out, err = run(capsys, ["bijection", str(path)])
+    assert (code, err) == (1, "")
+    assert " trees=6 states=5\n" in out
+    assert out.count("\ntree: ") == 6
+    assert out.endswith("\nbijection=fail\n")
+
+
+def _nested_digons(k: int) -> str:
+    """Root r with nested digons r <-> a_i and a digon a_i <-> b_i on each
+    a_i; basepoint a_0 -> r.  One state and one tree, but the tree search
+    tries b_i -> a_i at every a_i and fails only at b_i: 2^k dead ends."""
+    a = [f"a{i:02d}" for i in range(k)]
+    b = [f"b{i:02d}" for i in range(k)]
+    edges, rotation = [], {}
+    for i in range(k):
+        p, q, x, y = (f"{name}{i:02d}" for name in "pqxy")
+        edges += [Edge(p, "r", a[i], 1), Edge(q, a[i], "r", 1)]
+        edges += [Edge(x, a[i], b[i], 1), Edge(y, b[i], a[i], 1)]
+        rotation[a[i]] = (Dart(p, HEAD), Dart(q, TAIL), Dart(x, TAIL), Dart(y, HEAD))
+        rotation[b[i]] = (Dart(x, HEAD), Dart(y, TAIL))
+    rotation["r"] = tuple(Dart(f"p{i:02d}", TAIL) for i in range(k)) + tuple(
+        Dart(f"q{i:02d}", HEAD) for i in reversed(range(k))
+    )
+    m = CombinatorialMap(DirectedMultigraph(a + b + ["r"], edges), rotation)
+    return map_text(m, "q00")
+
+
+def test_bijection_keeps_the_in_degree_guard_on_the_tree_search(capsys, tmp_path):
+    # small: one state, one tree, no --force needed
+    path = tmp_path / "digons.json"
+    path.write_text(_nested_digons(3), encoding="utf-8")
+    code, out, err = run(capsys, ["bijection", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith("root=r trees=1 states=1\n")
+    # k = 30: one state, but an in-degree product of 2^30; without the
+    # guard the search would run for 2^31 steps, so run it in a child
+    # process under a timeout
+    path.write_text(_nested_digons(30), encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "moytree.cli", "bijection", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "in-degree product exceeds" in proc.stderr
+
+
+# sha256 of stdout at the commit before the integer bijection and the
+# single write; the lens goldens above have one state each
+MULTI_STATE_GOLDENS = {
+    ("doubled_prism", "states"): (
+        "count=224",
+        "c3007d97f64dd68033fbd10b747b76c3e8e1e9358f5a0e25d6dc627e2838d573",
+    ),
+    ("doubled_prism", "bijection"): (
+        "bijection=ok",
+        "2c98ff0b62686c5089a5688a8f5a84160657df8c2284b278e167054640900b50",
+    ),
+    ("subdivided_prism", "states"): (
+        "count=12",
+        "4554fbc0dce51a131fea081f583762a1ab5366126dd1556d3812451902bd9167",
+    ),
+    ("subdivided_prism", "bijection"): (
+        "bijection=ok",
+        "7bbe21f3d045ca54a8767f868797a6d7dca4d7e153f92f0cb39493151deb0a78",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture, command", MULTI_STATE_GOLDENS)
+def test_multi_state_goldens(capsys, tmp_path, request, fixture, command):
+    m, basepoint = request.getfixturevalue(fixture)
+    path = tmp_path / "map.json"
+    path.write_text(map_text(m, basepoint), encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)])
+    last, digest = MULTI_STATE_GOLDENS[fixture, command]
+    assert (code, err, out.splitlines()[-1]) == (0, "", last)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bijection_guard_refuses_above_the_state_limit(capsys, tmp_path, monkeypatch, lens_map):

@@ -45,7 +45,7 @@ from moytree.spanning import (
     enumerate_trees,
     tree_weight,
 )
-from oracles import kauffman_states
+from oracles import is_state, kauffman_states, tree_state, tree_verdict
 
 GOLDEN_STATE = {"e12": "N", "e13": "E", "e21": "W", "e23": "N", "e31": "N"}
 GOLDEN_PAIRS = ((-5, 1), (-3, 2), (-1, 3), (1, 4), (3, 4), (5, 3), (7, 2), (9, 1))
@@ -301,6 +301,46 @@ def test_check_bijection_flags_exactly_the_tree_whose_state_is_missing():
         flags = [ok for _, _, ok in check_bijection(diagram, trees, missing)]
         assert flags == [tree_to_state(diagram, t) != states[k] for t in trees]
         assert flags.count(False) == 1
+
+
+def test_the_bijection_matches_the_string_keyed_oracle(doubled_prism, subdivided_prism):
+    rng = random.Random(29)
+    diagrams = []
+    for _ in range(200):
+        m = random_plane_map(rng, max_vertices=8, max_weight=5)
+        diagrams.append(decorate(m, rng.choice(m.graph.edges).id))
+    for m, _ in (doubled_prism, subdivided_prism):
+        diagrams += [decorate(m, e.id) for e in m.graph.edges[::3]]
+    broken = 0
+    for diagram in diagrams:
+        trees = enumerate_trees(diagram.map.graph, diagram.root)
+        states = enumerate_states(diagram)
+        for tree in trees:
+            assert tree_to_state(diagram, tree) == tree_state(diagram, tree.edges)
+        verdicts = check_bijection(diagram, trees, states)
+        expected = [tree_verdict(diagram, t.edges, states) for t in trees]
+        assert [(w, ok) for _, w, ok in verdicts] == expected
+        assert [t for t, _, _ in verdicts] == trees
+        assert all(ok for _, ok in expected)
+        k = rng.randrange(len(states))
+        dropped = states[:k] + states[k + 1 :]
+        flags = [ok for _, _, ok in check_bijection(diagram, trees, dropped)]
+        assert flags == [tree_verdict(diagram, t.edges, dropped)[1] for t in trees]
+        assert flags.count(False) == 1
+        # one corner moved to another region: the oracle's walk and the
+        # state check decide what is still a state
+        edge = rng.choice([e for e in diagram.crossings if e != diagram.basepoint])
+        corner = rng.choice("NWE")
+        diagram.corner_region[edge, corner] = rng.choice(diagram.regions)
+        for tree in trees:
+            expected = tree_state(diagram, tree.edges)
+            if is_state(diagram, expected):
+                assert tree_to_state(diagram, tree) == expected
+            else:
+                with pytest.raises(IdentityViolation, match="does not induce a state"):
+                    tree_to_state(diagram, tree)
+                broken += 1
+    assert broken > 1000
 
 
 def test_two_cycle_diagram_by_hand():
