@@ -17,14 +17,7 @@ from math import prod
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
 from .graphfile import FormatError, build_map, load_document
-from .kauffman import (
-    MAX_SPAN,
-    MAX_STATES,
-    alexander,
-    check_bijection,
-    count_states,
-    enumerate_states,
-)
+from .kauffman import alexander, check_bijection, enumerate_states
 from .planar import (
     CombinatorialMap,
     DecoratedDiagram,
@@ -151,33 +144,15 @@ def _cmd_laplacian(args) -> int:
     return 0
 
 
-def _refuse_many_states(args, diagram: DecoratedDiagram) -> None:
-    if not args.force and (count := count_states(diagram)) > MAX_STATES:
-        raise EnumerationLimitError(
-            f"{count} states exceeds the enumeration limit of {MAX_STATES}; "
-            "pass --force to override"
-        )
-
-
 def _cmd_alexander(args) -> int:
-    diagram = _diagram(args)
-    # the state sum's doubled exponents lie in [-sum(w), sum(w)]
-    span = 2 * sum(e.weight for e in diagram.map.graph.edges)
-    if not args.force and span > MAX_SPAN:
-        raise EnumerationLimitError(
-            f"polynomial span 2*sum(w) = {span} exceeds the limit of {MAX_SPAN}; "
-            "pass --force to override"
-        )
-    poly = alexander(diagram)
+    poly = alexander(_diagram(args), force=args.force)
     print(str(poly))
     print(f"eval@1 = {poly.eval_one()}")
     return 0
 
 
 def _cmd_states(args) -> int:
-    diagram = _diagram(args)
-    _refuse_many_states(args, diagram)
-    states = enumerate_states(diagram)
+    states = enumerate_states(_diagram(args), force=args.force)
     text = "".join(
         f"state {k}:\n" + "".join(f"{e} -> {c}\n" for e, c in sorted(state.items())) + "\n"
         for k, state in enumerate(states, start=1)
@@ -188,8 +163,7 @@ def _cmd_states(args) -> int:
 
 def _cmd_bijection(args) -> int:
     diagram = _diagram(args)
-    _refuse_many_states(args, diagram)
-    states = enumerate_states(diagram)
+    states = enumerate_states(diagram, force=args.force)
     # as many trees as states: one tree more already fails
     trees = list(islice(iter_trees(diagram.map.graph, diagram.root, args.force), len(states) + 1))
     verdicts = check_bijection(diagram, trees, states)

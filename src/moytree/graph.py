@@ -103,12 +103,6 @@ class DirectedMultigraph:
         self._require_vertex(v)
         return self._out[v]
 
-    def in_weight(self, v: str) -> int:
-        return sum(e.weight for e in self.in_edges(v))
-
-    def out_weight(self, v: str) -> int:
-        return sum(e.weight for e in self.out_edges(v))
-
     def _require_vertex(self, v: str) -> None:
         if v not in self._in:
             raise ValueError(f"unknown vertex {v!r}")

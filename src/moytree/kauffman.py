@@ -41,7 +41,7 @@ row and every directed cycle peel completely.  The core that is left
 goes through ``spanning.bareiss`` three times:
 
 * with west -> -1 and every other entry 1, |det| is the number of
-  states (``count_states``);
+  states (``count_states`` and ``enumerate_states``'s guard);
 * at s = 1 (north -> w, east -> 1, west -> -1), det is the core's
   value v, +- its state sum at t = 1, so v = 0 means no state;
 * at s = 2^K with K = bit_length(|v|) + 2 (Kronecker substitution,
@@ -58,10 +58,10 @@ positive.  ``state_sum_by_determinant`` always takes this road.
 
 ``alexander`` takes enumeration (``state_sum``, also the determinant's
 oracle) for heavy cores with few states: the digits of a weight-w entry
-span 2wK bits, and big-int division is quadratic in CPython.  Without
---force the command line refuses ``alexander`` above a span 2*sum(w) of
-``MAX_SPAN`` doubled exponents, and ``states`` and ``bijection`` above
-``MAX_STATES`` states (``count_states``).
+span 2wK bits, and big-int division is quadratic in CPython.  Unless
+forced, ``alexander`` refuses a span 2*sum(w) above ``MAX_SPAN`` doubled
+exponents, and ``enumerate_states`` more than ``MAX_STATES`` states,
+counted on the core of the peel that its search then resumes.
 
 States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
@@ -82,12 +82,18 @@ from typing import Callable, Iterable, Iterator
 
 from .laurent import HalfLaurent, monomial, quantum_coefficients, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
-from .spanning import IdentityViolation, SpanningTree, _validate_tree, bareiss
+from .spanning import (
+    EnumerationLimitError,
+    IdentityViolation,
+    SpanningTree,
+    _validate_tree,
+    bareiss,
+)
 
 State = dict[str, str]
 
-# ``states`` and ``bijection`` refuse more than this many states, and
-# ``alexander`` a span 2*sum(w) above MAX_SPAN, without --force
+# without force, ``enumerate_states`` refuses more than MAX_STATES states
+# and ``alexander`` a span 2*sum(w) above MAX_SPAN
 MAX_STATES = 10**5
 MAX_SPAN = 10**6
 
@@ -217,13 +223,21 @@ def _peel(diagram: DecoratedDiagram) -> Iterator:
             return
 
 
-def enumerate_states(diagram: DecoratedDiagram) -> list[State]:
+def enumerate_states(diagram: DecoratedDiagram, force: bool = False) -> list[State]:
     """All Kauffman states as {edge id: corner} from ``_peel``, sorted by
     the ``CORNERS`` index of each corner in ``crossings`` order, as a
-    search over crossings, corners north, west, east finds them."""
+    search over crossings, corners north, west, east finds them.  Unless
+    force is set, more than ``MAX_STATES`` states, counted on the peel's
+    core, raise EnumerationLimitError before the search resumes."""
     search = _peel(diagram)
-    if next(search) is None:
+    peeled = next(search)
+    if peeled is None:
         return []
+    if not force and (count := _state_count(peeled[1])) > MAX_STATES:
+        raise EnumerationLimitError(
+            f"{count} states exceeds the enumeration limit of {MAX_STATES}; "
+            "pass --force to override"
+        )
     crossings = diagram.crossings
     return [dict(zip(crossings, map(CORNERS.__getitem__, f))) for f in sorted(search)]
 
@@ -295,7 +309,7 @@ def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
     not a position on a grid anchored at one state.
     """
     table: dict[int, int] = {}
-    for state in enumerate_states(diagram):
+    for state in enumerate_states(diagram, force=True):
         low, coeffs = quantum_coefficients(*_factors(diagram, sorted(state.items())))
         for d, c in zip(range(low, low + 2 * len(coeffs), 2), coeffs):
             table[d] = table.get(d, 0) + c
@@ -392,10 +406,17 @@ def count_states(diagram: DecoratedDiagram) -> int:
     return 0 if peeled is None else _state_count(peeled[1])
 
 
-def alexander(diagram: DecoratedDiagram) -> HalfLaurent:
+def alexander(diagram: DecoratedDiagram, force: bool = False) -> HalfLaurent:
     """The state sum by the backend the input favours: the determinant
     when the core is empty or has at least as many states as its largest
-    weight, enumeration (``state_sum``) otherwise."""
+    weight, enumeration (``state_sum``) otherwise.  Unless force is set, a
+    span 2*sum(w) above ``MAX_SPAN`` raises EnumerationLimitError first."""
+    # the state sum's doubled exponents lie in [-sum(w), sum(w)]
+    if not force and (span := 2 * sum(e.weight for e in diagram.map.graph.edges)) > MAX_SPAN:
+        raise EnumerationLimitError(
+            f"polynomial span 2*sum(w) = {span} exceeds the limit of {MAX_SPAN}; "
+            "pass --force to override"
+        )
     peeled = next(_peel(diagram))
     if peeled is None:
         return HalfLaurent()

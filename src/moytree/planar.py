@@ -149,10 +149,6 @@ class CombinatorialMap:
         self.graph = graph
         self.rotation = rot
         self.succ = succ
-        self._number = number
-
-    def next_in_face(self, dart: Dart) -> Dart:
-        return _dart(self.graph.edges, self.succ[self._number[dart] ^ 1])
 
     @cached_property
     def face_of(self) -> list[int]:

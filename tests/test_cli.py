@@ -232,7 +232,7 @@ def test_bijection_state_check_failure_is_identity_violation(
 
 
 def test_bijection_reports_a_tree_whose_state_is_not_enumerated(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_states", lambda diagram: [])
+    monkeypatch.setattr(cli, "enumerate_states", lambda diagram, force: [])
     code, out, _ = run(capsys, ["bijection", LENS_DATA])
     assert code == 1
     assert out == (
@@ -540,7 +540,7 @@ def test_states_guard_refuses_above_the_limit(capsys, tmp_path, monkeypatch, len
         f"{kauffman.MAX_STATES}; pass --force to override\n"
     )
     # the lens from e12 has 3 states: over a limit of 2 unless forced
-    monkeypatch.setattr(cli, "MAX_STATES", 2)
+    monkeypatch.setattr(kauffman, "MAX_STATES", 2)
     path = tmp_path / "lens.json"
     path.write_text(map_text(lens_map, basepoint="e12"), encoding="utf-8")
     code, out, err = run(capsys, ["states", str(path)])
@@ -566,12 +566,30 @@ def test_bijection_is_bounded_by_the_state_count_not_the_vertex_count(
         assert out.endswith("\nbijection=ok\n")
     # with 5 of the 48 states listed, the tree enumeration stops at the sixth
     real = cli.enumerate_states
-    monkeypatch.setattr(cli, "enumerate_states", lambda diagram: real(diagram)[:5])
+    monkeypatch.setattr(cli, "enumerate_states", lambda diagram, force: real(diagram, force=force)[:5])
     code, out, err = run(capsys, ["bijection", str(path)])
     assert (code, err) == (1, "")
     assert " trees=6 states=5\n" in out
     assert out.count("\ntree: ") == 6
     assert out.endswith("\nbijection=fail\n")
+
+
+@pytest.mark.parametrize("command", ["states", "bijection"])
+def test_the_state_guard_and_the_listing_share_one_search(
+    capsys, tmp_path, monkeypatch, lens_map, command
+):
+    # the guard counts the states on the core of the peel that the listing
+    # then resumes, so the exact-cover tables are built once
+    calls = []
+    real = kauffman._options
+    monkeypatch.setattr(kauffman, "_options", lambda diagram: calls.append(1) or real(diagram))
+    grown = grow_map(random.Random(1), seed_prism(5, 5, 5), 30)
+    for m, basepoint in ((lens_map, "e12"), (grown, grown.graph.edges[0].id)):
+        path = tmp_path / "map.json"
+        path.write_text(map_text(m, basepoint), encoding="utf-8")
+        calls.clear()
+        code, _, err = run(capsys, [command, str(path)])
+        assert (code, err, len(calls)) == (0, "", 1)
 
 
 def _nested_digons(k: int) -> str:
@@ -652,7 +670,7 @@ def test_multi_state_goldens(capsys, tmp_path, request, fixture, command):
 
 def test_bijection_guard_refuses_above_the_state_limit(capsys, tmp_path, monkeypatch, lens_map):
     # the lens from e12 has 3 states: over a limit of 2 unless forced
-    monkeypatch.setattr(cli, "MAX_STATES", 2)
+    monkeypatch.setattr(kauffman, "MAX_STATES", 2)
     path = tmp_path / "lens.json"
     path.write_text(map_text(lens_map, basepoint="e12"), encoding="utf-8")
     code, out, err = run(capsys, ["bijection", str(path)])
@@ -676,14 +694,14 @@ def test_alexander_guard_refuses_a_heavy_span(capsys, tmp_path, monkeypatch, len
         f"{kauffman.MAX_SPAN}; pass --force to override\n"
     )
     # the lens's weights sum to 15: a span of 30, over a limit of 29 unless forced
-    monkeypatch.setattr(cli, "MAX_SPAN", 29)
+    monkeypatch.setattr(kauffman, "MAX_SPAN", 29)
     code, out, err = run(capsys, ["alexander", lens_file])
     assert (code, out) == (2, "")
     assert err.startswith("error: polynomial span 2*sum(w) = 30 exceeds the limit of 29;")
     code, out, err = run(capsys, ["alexander", lens_file, "--force"])
     assert (code, err) == (0, "")
     assert out.endswith("\neval@1 = 20\n")
-    monkeypatch.setattr(cli, "MAX_SPAN", 30)
+    monkeypatch.setattr(kauffman, "MAX_SPAN", 30)
     assert run(capsys, ["alexander", lens_file]) == (0, out, "")
 
 
@@ -788,7 +806,7 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, lens_map, failure):
 def test_an_unexpected_runtime_error_is_a_bug_not_an_identity_violation(
     lens_file, monkeypatch
 ):
-    def boom(diagram):
+    def boom(diagram, force):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "enumerate_states", boom)

@@ -39,6 +39,7 @@ from moytree.laurent import (
 )
 from moytree.planar import CombinatorialMap, Dart, decorate
 from moytree.spanning import (
+    EnumerationLimitError,
     IdentityViolation,
     SpanningTree,
     balanced_count,
@@ -437,6 +438,20 @@ def test_a_diagram_without_states_sums_to_zero():
     assert count_states(diagram) == 0
     assert not state_sum_by_determinant(diagram)
     assert not alexander(diagram)
+
+
+def test_the_size_guards_live_in_the_searches_they_bound(monkeypatch, lens_map):
+    # the lens from e12 has 3 states, and its weights sum to 15
+    diagram = decorate(lens_map, "e12")
+    monkeypatch.setattr(kauffman, "MAX_STATES", 2)
+    with pytest.raises(EnumerationLimitError, match="^3 states exceeds the enumeration limit of 2;"):
+        enumerate_states(diagram)
+    assert len(enumerate_states(diagram, force=True)) == 3
+    assert state_sum(diagram) == state_sum_by_determinant(diagram)
+    monkeypatch.setattr(kauffman, "MAX_SPAN", 29)
+    with pytest.raises(EnumerationLimitError, match=r"2\*sum\(w\) = 30 exceeds the limit of 29;"):
+        alexander(diagram)
+    assert alexander(diagram, force=True) == state_sum(diagram)
 
 
 @pytest.mark.parametrize(

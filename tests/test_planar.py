@@ -108,11 +108,19 @@ def test_map_rejects_non_dart_entries(make_graph):
 
 
 def test_successor_walks_the_rotation(lens_map):
-    # the face walk leaves a dart's twin by the dart's counterclockwise
-    # successor at its own vertex
+    # darts 2k and 2k + 1 are the head and tail ends of the k-th edge, so
+    # the face walk leaves a dart's twin t by succ[t ^ 1], the dart's
+    # counterclockwise successor at its own vertex
+    number = {
+        Dart(e.id, end): 2 * k + (end == "t")
+        for k, e in enumerate(lens_map.graph.edges)
+        for end in "ht"
+    }
     v1 = lens_map.rotation["v1"]
     for i, d in enumerate(v1):
-        assert lens_map.next_in_face(d.twin()) == v1[(i + 1) % len(v1)]
+        twin = number[d.twin()]
+        assert twin == number[d] ^ 1
+        assert lens_map.succ[twin ^ 1] == number[v1[(i + 1) % len(v1)]]
         e = lens_map.graph.edge(d.edge)
         assert (e.tail if d.end == "t" else e.head) == "v1"
 
