@@ -75,11 +75,11 @@ def _cmd_validate(args) -> int:
     report("balance", balanced)
     report("connectivity", connected)
     report("strong-connectivity", is_strongly_connected(g))
-    if doc.rotation is None:
+    if doc.dart_numbers is None:
         print("rotation=absent")
     else:
         try:
-            m = CombinatorialMap(g, doc.rotation)
+            m = CombinatorialMap(g, doc.dart_numbers)
         except MapStructureError as exc:
             report("rotation-structure", False, str(exc))
             m = None

@@ -10,13 +10,12 @@ balanced validation refuses nonpositive weights).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from collections import Counter, deque
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A directed edge; weight is an arbitrary-precision integer."""
 
     id: str
@@ -46,29 +45,30 @@ class DirectedMultigraph:
         for v in vs:
             if not isinstance(v, str) or not v:
                 raise ValueError(f"vertex id must be a nonempty string, got {v!r}")
-        if len(set(vs)) != len(vs):
-            dup = sorted(v for v in set(vs) if vs.count(v) > 1)
+        vertex_set = set(vs)
+        if len(vertex_set) != len(vs):
+            dup = sorted(v for v, n in Counter(vs).items() if n > 1)
             raise ValueError(f"duplicate vertex ids: {dup}")
         self.vertices: tuple[str, ...] = tuple(sorted(vs))
-        vertex_set = set(self.vertices)
 
         es = list(edges)
         by_id: dict[str, Edge] = {}
         for e in es:
             if not isinstance(e, Edge):
                 raise TypeError(f"expected Edge, got {type(e).__name__}")
-            if not isinstance(e.id, str) or not e.id:
-                raise ValueError(f"edge id must be a nonempty string, got {e.id!r}")
-            if e.id in by_id:
-                raise ValueError(f"duplicate edge id: {e.id!r}")
-            if e.tail not in vertex_set:
-                raise ValueError(f"edge {e.id!r}: unknown tail vertex {e.tail!r}")
-            if e.head not in vertex_set:
-                raise ValueError(f"edge {e.id!r}: unknown head vertex {e.head!r}")
-            if not isinstance(e.weight, int) or isinstance(e.weight, bool):
-                raise ValueError(f"edge {e.id!r}: weight must be int, got {e.weight!r}")
-            by_id[e.id] = e
-        self.edges: tuple[Edge, ...] = tuple(sorted(es, key=lambda e: e.id))
+            eid, tail, head, weight = e
+            if not isinstance(eid, str) or not eid:
+                raise ValueError(f"edge id must be a nonempty string, got {eid!r}")
+            if eid in by_id:
+                raise ValueError(f"duplicate edge id: {eid!r}")
+            if tail not in vertex_set:
+                raise ValueError(f"edge {eid!r}: unknown tail vertex {tail!r}")
+            if head not in vertex_set:
+                raise ValueError(f"edge {eid!r}: unknown head vertex {head!r}")
+            if not isinstance(weight, int) or isinstance(weight, bool):
+                raise ValueError(f"edge {eid!r}: weight must be int, got {weight!r}")
+            by_id[eid] = e
+        self.edges: tuple[Edge, ...] = tuple(sorted(es, key=itemgetter(0)))
         self._by_id = by_id
 
         ins: dict[str, list[Edge]] = {v: [] for v in self.vertices}

@@ -21,7 +21,7 @@ import json
 from typing import NamedTuple
 
 from .graph import DirectedMultigraph, Edge
-from .planar import HEAD, TAIL, CombinatorialMap, Dart
+from .planar import HEAD, TAIL, CombinatorialMap, Dart, dart_of
 
 TOP_FIELDS = ("vertices", "edges", "rotation", "basepoint")
 EDGE_FIELDS = frozenset(("id", "tail", "head", "weight"))
@@ -32,9 +32,23 @@ class FormatError(ValueError):
 
 
 class GraphDocument(NamedTuple):
+    """A parsed document.  ``dart_numbers`` holds the rotation with each
+    dart as its number in the map over ``graph`` (see ``planar``)."""
+
     graph: DirectedMultigraph
-    rotation: dict[str, tuple[Dart, ...]] | None
+    dart_numbers: dict[str, tuple[int, ...]] | None
     basepoint: str | None
+
+    @property
+    def rotation(self) -> dict[str, tuple[Dart, ...]] | None:
+        """The rotation with ``Dart``s, built on each access."""
+        if self.dart_numbers is None:
+            return None
+        edges = self.graph.edges
+        return {
+            v: tuple(dart_of(edges, d) for d in darts)
+            for v, darts in self.dart_numbers.items()
+        }
 
 
 def parse_document(text: str) -> GraphDocument:
@@ -85,31 +99,36 @@ def parse_document(text: str) -> GraphDocument:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
-    rotation = None
+    numbers = None
     if "rotation" in raw:
         if not isinstance(raw["rotation"], dict):
             raise FormatError("rotation: expected an object")
-        rotation = {}
+        # each token's dart number, as planar numbers darts
+        number = {}
+        for k, e in enumerate(graph.edges):
+            number[e.id + ":" + HEAD] = 2 * k
+            number[e.id + ":" + TAIL] = 2 * k + 1
+        numbers = {}
         for v, tokens in raw["rotation"].items():
             if not graph.has_vertex(v):
                 raise FormatError(f"rotation: unknown vertex {v!r}")
             if not isinstance(tokens, list):
                 raise FormatError(f"rotation.{v}: expected a list")
-            darts = []
-            for i, tok in enumerate(tokens):
-                # Dart.parse's split, inline; Dart.parse words a bad token
-                edge, sep, end = tok.rpartition(":") if isinstance(tok, str) else ("", "", "")
-                if not (sep and end in (TAIL, HEAD) and graph.has_edge(edge)):
-                    where = f"rotation.{v}[{i}]"
-                    if not isinstance(tok, str):
-                        raise FormatError(f"{where}: expected string, got {tok!r}")
-                    try:
-                        Dart.parse(tok)
-                    except ValueError as exc:
-                        raise FormatError(f"{where}: {exc}") from None
-                    raise FormatError(f"{where}: unknown edge {edge!r}")
-                darts.append(Dart(edge, end))
-            rotation[v] = tuple(darts)
+            try:
+                numbers[v] = tuple(map(number.__getitem__, tokens))
+            except (KeyError, TypeError):  # unknown or unhashable: word the first bad one
+                i, tok = next(
+                    (i, t) for i, t in enumerate(tokens)
+                    if not (isinstance(t, str) and t in number)
+                )
+                where = f"rotation.{v}[{i}]"
+                if not isinstance(tok, str):
+                    raise FormatError(f"{where}: expected string, got {tok!r}") from None
+                try:
+                    Dart.parse(tok)
+                except ValueError as exc:
+                    raise FormatError(f"{where}: {exc}") from None
+                raise FormatError(f"{where}: unknown edge {tok.rpartition(':')[0]!r}") from None
 
     basepoint = None
     if "basepoint" in raw:
@@ -119,7 +138,7 @@ def parse_document(text: str) -> GraphDocument:
         if not graph.has_edge(basepoint):
             raise FormatError(f"basepoint: unknown edge {basepoint!r}")
 
-    return GraphDocument(graph, rotation, basepoint)
+    return GraphDocument(graph, numbers, basepoint)
 
 
 def load_document(path) -> GraphDocument:
@@ -155,6 +174,6 @@ def map_text(m: CombinatorialMap, basepoint: str | None = None) -> str:
 
 def build_map(doc: GraphDocument) -> CombinatorialMap:
     """The document's combinatorial map; requires the rotation field."""
-    if doc.rotation is None:
+    if doc.dart_numbers is None:
         raise FormatError("rotation: required for this command but absent")
-    return CombinatorialMap(doc.graph, doc.rotation)
+    return CombinatorialMap(doc.graph, doc.dart_numbers)

@@ -23,12 +23,15 @@ faces first, in ``faces()`` order, then the circles, in vertex order.
 Region count always satisfies |regions| = |crossings| + 2 on a
 sphere-planar map.
 
-Callers name darts as ``Dart`` tuples; a map numbers them.  With the
-edges numbered k = 0, 1, ... in id order (the order of ``graph.edges``),
-dart 2k is the head end of edge k and dart 2k + 1 its tail end, so
-twin(d) = d ^ 1.  Because "h" < "t", the numbers sort exactly as the
-``Dart`` tuples do, so faces, and with them every region number, come
-out in the same order as a walk over ``Dart``s would give them.
+A map numbers its darts.  With the edges numbered k = 0, 1, ... in id
+order (the order of ``graph.edges``), dart 2k is the head end of edge k
+and dart 2k + 1 its tail end, so twin(d) = d ^ 1.  Because "h" < "t",
+the numbers sort exactly as the ``Dart`` tuples do, so faces, and with
+them every region number, come out in the same order as a walk over
+``Dart``s would give them.  Callers may name each dart as a ``Dart``
+tuple or as its number: the document parser hands over numbers, the
+generators ``Dart``s, and ``dart_of`` turns a number back into its
+``Dart``.
 """
 
 from __future__ import annotations
@@ -79,9 +82,16 @@ class DiagramError(ValueError):
     """The map cannot be decorated into a valid diagram."""
 
 
-def _dart(edges: Sequence[Edge], d: int) -> Dart:
+def dart_of(edges: Sequence[Edge], d: int) -> Dart:
     """Dart number d of a map over the given sorted edges."""
     return Dart(edges[d >> 1].id, TAIL if d & 1 else HEAD)
+
+
+def _numbers(edges: Sequence[Edge]) -> dict[Dart, int]:
+    """Each dart's number, keyed by its ``Dart`` (an (edge, end) tuple)."""
+    number = {(e.id, HEAD): 2 * k for k, e in enumerate(edges)}
+    number.update({(e.id, TAIL): 2 * k + 1 for k, e in enumerate(edges)})
+    return number
 
 
 @dataclass(frozen=True)
@@ -108,47 +118,74 @@ class CombinatorialMap:
     def __init__(
         self,
         graph: DirectedMultigraph,
-        rotation: Mapping[str, Sequence[Dart]],
+        rotation: Mapping[str, Sequence[Dart | int]],
     ):
         unknown = [v for v in rotation if not graph.has_vertex(v)]
         problems = [f"rotation lists unknown vertex {v!r}" for v in unknown]
         edges = graph.edges
-        # a Dart is an (edge, end) tuple, so it finds its own number here
-        number = {(e.id, HEAD): 2 * k for k, e in enumerate(edges)}
-        number.update({(e.id, TAIL): 2 * k + 1 for k, e in enumerate(edges)})
+        number = None  # (edge id, end) -> dart number, built for the first Dart
         belongs = [v for e in edges for v in (e.head, e.tail)]  # each dart's vertex
-        seen = bytearray(len(belongs))
-        succ = [0] * len(belongs)
-        rot: dict[str, tuple[Dart, ...]] = {}
+        n = len(belongs)
+        seen = bytearray(n)
+        succ = [0] * n
+        rot: dict[str, tuple[Dart | int, ...]] = {}
+        given_numbers = False
         for v in graph.vertices:
             darts = rot[v] = tuple(rotation.get(v, ()))
             ids = []
             for dart in darts:
-                if not isinstance(dart, Dart):
-                    raise TypeError(f"rotation entries must be Dart, got {dart!r}")
-                d = number.get(dart)
-                if d is None:
-                    problems.append(f"dart {dart.token()}: unknown edge")
-                    continue
+                if type(dart) is int:
+                    given_numbers = True
+                    d = dart
+                    if not 0 <= d < n:
+                        problems.append(f"dart number {d}: out of range")
+                        continue
+                elif isinstance(dart, Dart):
+                    if number is None:
+                        number = _numbers(edges)
+                    d = number.get(dart)
+                    if d is None:
+                        problems.append(f"dart {dart.token()}: unknown edge")
+                        continue
+                else:
+                    raise TypeError(
+                        f"rotation entries must be Dart or dart numbers, got {dart!r}"
+                    )
                 if belongs[d] != v:
                     problems.append(
-                        f"dart {dart.token()} listed at {v!r} but belongs at {belongs[d]!r}"
+                        f"dart {dart_of(edges, d).token()} listed at {v!r}"
+                        f" but belongs at {belongs[d]!r}"
                     )
                 if seen[d]:
-                    problems.append(f"dart {dart.token()} listed more than once")
+                    problems.append(f"dart {dart_of(edges, d).token()} listed more than once")
                 seen[d] = 1
                 ids.append(d)
-            for a, b in zip(ids, ids[1:] + ids[:1]):
-                succ[a] = b
+            if ids:
+                prev = ids[-1]
+                for d in ids:
+                    succ[prev] = d
+                    prev = d
         problems += [
-            f"dart {_dart(edges, d).token()} missing from rotation"
+            f"dart {dart_of(edges, d).token()} missing from rotation"
             for d, hit in enumerate(seen) if not hit
         ]
         if problems:
             raise MapStructureError("; ".join(sorted(problems)))
         self.graph = graph
-        self.rotation = rot
         self.succ = succ
+        if given_numbers:
+            self._given = rot
+        else:
+            self.rotation = rot  # Darts as given: the cached property is never built
+
+    @cached_property
+    def rotation(self) -> dict[str, tuple[Dart, ...]]:
+        """Each vertex's darts, counterclockwise, as ``Dart``s."""
+        edges = self.graph.edges
+        return {
+            v: tuple(d if isinstance(d, Dart) else dart_of(edges, d) for d in darts)
+            for v, darts in self._given.items()
+        }
 
     @cached_property
     def face_of(self) -> list[int]:
@@ -173,7 +210,7 @@ class CombinatorialMap:
                 orbit = [start]
                 while (d := self.succ[orbit[-1] ^ 1]) != start:
                     orbit.append(d)
-                orbits.append(tuple(_dart(self.graph.edges, d) for d in orbit))
+                orbits.append(tuple(dart_of(self.graph.edges, d) for d in orbit))
         return tuple(orbits)
 
     def face_count(self) -> int:

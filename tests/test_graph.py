@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -35,6 +36,28 @@ def test_empty_vertex_set_rejected():
 def test_duplicate_vertex_ids_rejected():
     with pytest.raises(ValueError, match="duplicate vertex"):
         DirectedMultigraph(["a", "a"], [])
+
+
+def test_duplicate_vertex_ids_are_counted_once():
+    # one repeat among 60 000 ids: counting each distinct id's copies with
+    # list.count took about a minute
+    ids = [f"v{i}" for i in range(59_999)] + ["v0"]
+    start = time.process_time()
+    with pytest.raises(ValueError) as info:
+        DirectedMultigraph(ids, [])
+    assert time.process_time() - start < 5
+    assert str(info.value) == "duplicate vertex ids: ['v0']"
+    with pytest.raises(ValueError) as info:
+        DirectedMultigraph(["c", "b", "a", "c", "b", "c"], [])
+    assert str(info.value) == "duplicate vertex ids: ['b', 'c']"
+
+
+def test_edges_are_immutable_tuples_with_named_fields():
+    e = Edge("e", "a", "b", 3)
+    assert (e.id, e.tail, e.head, e.weight) == tuple(e) == ("e", "a", "b", 3)
+    assert Edge._fields == ("id", "tail", "head", "weight")
+    with pytest.raises(AttributeError):
+        e.weight = 4
 
 
 def test_duplicate_edge_ids_rejected(make_graph):

@@ -195,6 +195,26 @@ def test_accepts_good_rotation():
     assert m.face_count() == 2
 
 
+def test_accepts_edge_ids_that_end_like_a_token():
+    # "x:h:t" is the tail of edge "x:h", not a token of edge "x"
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [
+            {"id": "x:h", "tail": "a", "head": "b", "weight": 1},
+            {"id": "x", "tail": "b", "head": "a", "weight": 1},
+        ],
+        "rotation": {"a": ["x:h:t", "x:h"], "b": ["x:t", "x:h:h"]},
+    }
+    parsed = parse_document(json.dumps(doc))
+    assert parsed.rotation == {
+        "a": (Dart("x:h", "t"), Dart("x", "h")),
+        "b": (Dart("x", "t"), Dart("x:h", "h")),
+    }
+    m = build_map(parsed)
+    assert m.rotation == parsed.rotation
+    assert m.face_count() == 2
+
+
 def test_rejects_bad_basepoint():
     doc = base_doc()
     doc["basepoint"] = 3
@@ -282,6 +302,19 @@ PARSE_MESSAGES = {
     "token-not-string": (
         rotation_doc(rotation={"a": ["e:t", 5]}),
         "rotation.a[1]: expected string, got 5",
+    ),
+    # tokens that a lookup keyed by token text must not hash or match blindly
+    "token-list": (
+        rotation_doc(rotation={"a": ["e:t", ["e:t"]]}),
+        "rotation.a[1]: expected string, got ['e:t']",
+    ),
+    "token-dict": (
+        rotation_doc(rotation={"a": ["e:t", {"e": "t"}]}),
+        "rotation.a[1]: expected string, got {'e': 't'}",
+    ),
+    "token-true": (
+        rotation_doc(rotation={"a": ["e:t", True]}),
+        "rotation.a[1]: expected string, got True",
     ),
     "token-bad": (rotation_doc(rotation={"a": ["e"]}), "rotation.a[0]: " + BAD_TOKEN.format("e")),
     "token-bad-end": (

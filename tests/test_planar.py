@@ -104,6 +104,61 @@ def test_map_rejects_non_dart_entries(make_graph):
         CombinatorialMap(g, {"a": ("e:t",), "b": (Dart("e", "h"),)})
 
 
+def numbered(m):
+    """m's rotation with each dart as its number: 2k is the head end and
+    2k + 1 the tail end of the k-th edge in id order."""
+    number = {
+        Dart(e.id, end): 2 * k + (end == "t")
+        for k, e in enumerate(m.graph.edges)
+        for end in "ht"
+    }
+    return {v: tuple(number[d] for d in darts) for v, darts in m.rotation.items()}
+
+
+def test_darts_and_dart_numbers_build_the_same_map():
+    rng = random.Random(31)
+    maps = [random_plane_map(rng, max_vertices=8, max_weight=5) for _ in range(200)]
+    maps += [grow_map(rng, seed_prism(3, 4, 5), 40), grow_map(rng, seed_prism(2, 3, 4), 80)]
+    for m in maps:
+        g, darts, numbers = m.graph, m.rotation, numbered(m)
+        parsed = build_map(parse_document(map_text(m, g.edges[0].id)))
+        for built in (CombinatorialMap(g, numbers), CombinatorialMap(g, darts), parsed):
+            assert built.succ == m.succ
+            assert built.face_of == m.face_of
+            assert built.rotation == darts
+        # one dart moved to another vertex, listed twice, or left out
+        v, w = rng.sample(g.vertices, 2)
+        i = rng.randrange(len(darts[v]))
+        for rotation in (darts, numbers):
+            rest = rotation[v][:i] + rotation[v][i + 1:]
+            faults = (
+                {**rotation, v: rest, w: rotation[w] + rotation[v][i:i + 1]},
+                {**rotation, v: rotation[v] + rotation[v][i:i + 1]},
+                {**rotation, v: rest},
+            )
+            messages = []
+            for fault in faults:
+                with pytest.raises(MapStructureError) as info:
+                    CombinatorialMap(g, fault)
+                messages.append(str(info.value))
+            if rotation is darts:
+                by_dart = messages
+        assert messages == by_dart
+        assert "belongs at" in messages[0]
+        assert "listed more than once" in messages[1]
+        assert "missing from rotation" in messages[2]
+
+
+def test_map_refuses_bad_dart_numbers(lens_map):
+    g, numbers = lens_map.graph, numbered(lens_map)
+    for bad in (2 * len(g.edges), -1):
+        with pytest.raises(MapStructureError) as info:
+            CombinatorialMap(g, {**numbers, "v1": numbers["v1"] + (bad,)})
+        assert str(info.value) == f"dart number {bad}: out of range"
+    with pytest.raises(TypeError, match="must be Dart or dart numbers, got True"):
+        CombinatorialMap(g, {**numbers, "v1": (True,) + numbers["v1"][1:]})
+
+
 # -- traversal ------------------------------------------------------------------
 
 
