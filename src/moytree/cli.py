@@ -14,11 +14,13 @@ import functools
 import sys
 from itertools import islice
 from math import prod
+from operator import add
 
 from .graph import is_balanced, is_connected, is_strongly_connected, subdivide_edge
 from .graphfile import FormatError, build_map, load_document
 from .kauffman import alexander, check_bijection, enumerate_states
 from .planar import (
+    CORNERS,
     CombinatorialMap,
     DecoratedDiagram,
     DiagramError,
@@ -152,9 +154,13 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_states(args) -> int:
-    states = enumerate_states(_diagram(args), force=args.force)
+    diagram = _diagram(args)
+    states = enumerate_states(diagram, force=args.force)
+    # a state is corner indices in crossings order, which is edge id order
+    prefixes = [f"{e} -> " for e in diagram.crossings]
+    endings = [f"{c}\n" for c in CORNERS]
     text = "".join(
-        f"state {k}:\n" + "".join(f"{e} -> {c}\n" for e, c in sorted(state.items())) + "\n"
+        f"state {k}:\n" + "".join(map(add, prefixes, map(endings.__getitem__, state))) + "\n"
         for k, state in enumerate(states, start=1)
     )
     sys.stdout.write(f"{text}count={len(states)}\n")

@@ -3,7 +3,10 @@
 A state assigns to each crossing one of its corners so that the induced
 map from crossings to regions is a bijection onto the unmarked regions.
 The basepoint crossing is forced north (its west and east corners sit in
-the two marked regions).
+the two marked regions).  A ``State`` is a tuple of ``CORNERS`` indices
+(0 north, 1 west, 2 east) in ``diagram.crossings`` order, which is edge
+id order; every function here that takes or returns a state uses that
+one form.
 
 So a state is a perfect matching of crossings to unmarked regions, an
 exact cover.  ``_peel`` runs Knuth's Algorithm X: it yields what the
@@ -70,15 +73,15 @@ growing the dual spanning tree outward from the two marked faces.
 ``check_bijection`` checks it tree by tree on integer tables read once
 from ``corner_region`` (``_dual``): per tree it grows the dual forest
 over lists, checks the state on a bytearray of claimed regions,
-multiplies the north weights as ints and looks the corner tuple up in a
-set; ``tree_to_state`` is the one-tree case.  The command line writes
-the ``states`` and ``bijection`` listings as one string each.
+multiplies the north weights as ints and looks the state up in a set
+of the listed ones; ``tree_to_state`` is the one-tree case.  The command
+line writes the ``states`` and ``bijection`` listings as one string each.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .laurent import HalfLaurent, monomial, quantum_coefficients, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
@@ -90,7 +93,7 @@ from .spanning import (
     bareiss,
 )
 
-State = dict[str, str]
+State = tuple[int, ...]
 
 # without force, ``enumerate_states`` refuses more than MAX_STATES states
 # and ``alexander`` a span 2*sum(w) above MAX_SPAN
@@ -143,7 +146,8 @@ def _peel(diagram: DecoratedDiagram) -> Iterator:
     count drops to one or zero goes on a worklist: with one option it is
     taken without a branch, with none it cuts the branch.  Only when the
     worklist is empty does the search branch, on the free item with the
-    fewest options, on an explicit stack, not by recursion.
+    fewest options (``_branch_item``), on an explicit stack, not by
+    recursion.
     """
     n = len(diagram.crossings)
     options, free = _options(diagram)
@@ -205,7 +209,7 @@ def _peel(diagram: DecoratedDiagram) -> Iterator:
         if len(trail) == n:
             yield tuple(choice)
         else:
-            x = min((z for z in range(len(options)) if free[z]), key=live.__getitem__)
+            x = _branch_item(free, live)
             stack.append([x, [o for o in options[x] if free[o[0]]], 0, len(trail)])
         while stack:  # on to the next branch that settles
             frame = stack[-1]
@@ -223,12 +227,24 @@ def _peel(diagram: DecoratedDiagram) -> Iterator:
             return
 
 
+def _branch_item(free: list[bool], live: list[int]) -> int:
+    """The first free item with the fewest live options.  Every free item
+    has at least two once the forced moves are made, so the scan stops at
+    the first free item with exactly two."""
+    best = -1
+    for z, count in enumerate(live):
+        if free[z] and (best < 0 or count < live[best]):
+            best = z
+            if count == 2:
+                break
+    return best
+
+
 def enumerate_states(diagram: DecoratedDiagram, force: bool = False) -> list[State]:
-    """All Kauffman states as {edge id: corner} from ``_peel``, sorted by
-    the ``CORNERS`` index of each corner in ``crossings`` order, as a
-    search over crossings, corners north, west, east finds them.  Unless
-    force is set, more than ``MAX_STATES`` states, counted on the peel's
-    core, raise EnumerationLimitError before the search resumes."""
+    """All Kauffman states from ``_peel``, sorted: in the order a search
+    over crossings, corners north, west, east finds them.  Unless force
+    is set, more than ``MAX_STATES`` states, counted on the peel's core,
+    raise EnumerationLimitError before the search resumes."""
     search = _peel(diagram)
     peeled = next(search)
     if peeled is None:
@@ -238,8 +254,7 @@ def enumerate_states(diagram: DecoratedDiagram, force: bool = False) -> list[Sta
             f"{count} states exceeds the enumeration limit of {MAX_STATES}; "
             "pass --force to override"
         )
-    crossings = diagram.crossings
-    return [dict(zip(crossings, map(CORNERS.__getitem__, f))) for f in sorted(search)]
+    return sorted(search)
 
 
 def _crossing_weight(diagram: DecoratedDiagram, edge_id: str) -> int:
@@ -291,12 +306,18 @@ def _factors(
     return quanta, shift
 
 
+def _state_factors(diagram: DecoratedDiagram, state: State) -> tuple[list[int], int]:
+    """``_factors`` of a state's (edge id, corner) pairs in ``crossings``
+    order."""
+    return _factors(diagram, zip(diagram.crossings, map(CORNERS.__getitem__, state)))
+
+
 def state_weight(diagram: DecoratedDiagram, state: State) -> HalfLaurent:
     """Product of local weights over all crossings of one state.
 
     The monomials add up to one shift and the quantum integers multiply
     by sliding windows (``quantum_product``), linear in the span."""
-    return quantum_product(*_factors(diagram, sorted(state.items())))
+    return quantum_product(*_state_factors(diagram, state))
 
 
 def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
@@ -310,7 +331,7 @@ def state_sum(diagram: DecoratedDiagram) -> HalfLaurent:
     """
     table: dict[int, int] = {}
     for state in enumerate_states(diagram, force=True):
-        low, coeffs = quantum_coefficients(*_factors(diagram, sorted(state.items())))
+        low, coeffs = quantum_coefficients(*_state_factors(diagram, state))
         for d, c in zip(range(low, low + 2 * len(coeffs), 2), coeffs):
             table[d] = table.get(d, 0) + c
     return HalfLaurent(table)
@@ -424,8 +445,8 @@ def alexander(diagram: DecoratedDiagram, force: bool = False) -> HalfLaurent:
     count = _state_count(core)
     if not count:
         return HalfLaurent()
-    # every state weighs every crossing, in ``state_weight``'s sorted order
-    w = {eid: _crossing_weight(diagram, eid) for eid in sorted(diagram.crossings)}
+    # every state weighs every crossing, in ``state_weight``'s order
+    w = {eid: _crossing_weight(diagram, eid) for eid in diagram.crossings}
     if core and count < max(w[diagram.crossings[i]] for i, _ in core):
         return state_sum(diagram)
     return _determinant_sum(diagram, forced, core)
@@ -483,11 +504,10 @@ def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
     result that is not a state violates the correspondence:
     IdentityViolation.
     """
-    corners = _tree_corners(diagram, _dual(diagram), tree)
-    return dict(zip(diagram.crossings, map(CORNERS.__getitem__, corners)))
+    return tuple(_tree_corners(diagram, _dual(diagram), tree))
 
 
-def _check_state(diagram: DecoratedDiagram, regions: list, corners: list[int]) -> None:
+def _check_state(diagram: DecoratedDiagram, regions: list, corners: Sequence[int]) -> None:
     """Raise ValueError unless corners (indices, -1 for none, basepoint
     north) make a state on ``_dual``'s regions."""
     if -1 in corners:
@@ -517,14 +537,17 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
     failure of the latter would contradict the correspondence theorem and
     raises IdentityViolation.
     """
-    if set(state) != set(diagram.crossings):
+    crossings = diagram.crossings
+    if len(state) != len(crossings):
         raise ValueError("state must assign a corner to every crossing")
-    for eid, corner in state.items():
-        if corner not in diagram.admissible_corners(eid):
-            raise ValueError(f"edge {eid!r}: corner {corner!r} not admissible")
-    _check_state(diagram, _dual(diagram)[1], [_INDEX[state[e]] for e in diagram.crossings])
+    for eid, c in zip(crossings, state):
+        if c not in range(len(CORNERS)):
+            raise ValueError(f"edge {eid!r}: corner index {c!r} out of range")
+        if CORNERS[c] not in diagram.admissible_corners(eid):
+            raise ValueError(f"edge {eid!r}: corner {CORNERS[c]!r} not admissible")
+    _check_state(diagram, _dual(diagram)[1], state)
     basepoint = diagram.basepoint
-    north = frozenset(e for e, c in state.items() if c == NORTH and e != basepoint)
+    north = frozenset(e for e, c in zip(crossings, state) if c == _N and e != basepoint)
     tree = SpanningTree(diagram.root, north)
     try:
         _validate_tree(diagram.map.graph, tree)
@@ -542,7 +565,7 @@ def check_bijection(
     as ints, refusing a nonpositive edge weight as ``_factors`` would."""
     dual = _dual(diagram)
     crossings = diagram.crossings
-    known = {tuple(map(_INDEX.get, map(s.get, crossings))) for s in states}
+    known = set(states)
     verdicts = []
     for tree in trees:
         corners = _tree_corners(diagram, dual, tree)

@@ -36,7 +36,7 @@ from .kauffman import (
     tree_to_state,
 )
 from .laurent import ONE, is_symmetric
-from .planar import decorate
+from .planar import CORNERS, decorate
 from .skein import verify_skein_t1
 from .spanning import (
     balanced_count,
@@ -119,7 +119,8 @@ def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
         good = good and all(ok for _, _, ok in check_bijection(diagram, trees, states))
         for state in states:
             good = good and tree_to_state(diagram, state_to_tree(diagram, state)) == state
-            factors = (local_weight(diagram, eid, state[eid]) for eid in sorted(state))
+            corners = zip(diagram.crossings, map(CORNERS.__getitem__, state))
+            factors = (local_weight(diagram, e, c) for e, c in corners)
             good = good and state_weight(diagram, state) == reduce(mul, factors, ONE)
         if good:
             passed += 1

@@ -107,16 +107,23 @@ def is_state(diagram, assignment) -> bool:
     )
 
 
+def corner_indices(diagram, assignment) -> tuple[int, ...]:
+    """A complete {edge id: corner} assignment in the package's state
+    form: each crossing's corner as its position in "NWE", taken in
+    ``crossings`` order."""
+    return tuple("NWE".index(assignment[e]) for e in diagram.crossings)
+
+
 def tree_verdict(diagram, tree_edges, states) -> tuple[int, bool]:
     """(weight, ok) for one tree: the product of the weights of the north
     edges of ``tree_state`` other than the basepoint, and whether that
-    assignment is a state listed in states."""
+    assignment is a state listed in states (the package's form)."""
     state = tree_state(diagram, tree_edges)
     weight = 1
     for edge, corner in state.items():
         if corner == "N" and edge != diagram.basepoint:
             weight *= diagram.map.graph.edge(edge).weight
-    return weight, is_state(diagram, state) and state in states
+    return weight, is_state(diagram, state) and corner_indices(diagram, state) in states
 
 
 def face_layout(rotation, basepoint):

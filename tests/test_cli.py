@@ -15,10 +15,11 @@ import pytest
 
 from moytree import cli, kauffman, spanning
 from moytree.cli import main
-from moytree.generate import grow_map, seed_cycle, seed_prism, seed_theta
+from moytree.generate import grow_map, random_plane_map, seed_cycle, seed_prism, seed_theta
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
-from moytree.planar import HEAD, TAIL, CombinatorialMap, Dart
+from moytree.planar import HEAD, TAIL, CombinatorialMap, Dart, decorate
+from oracles import kauffman_states
 
 ROOT = Path(__file__).resolve().parent.parent
 LENS_DATA = str(ROOT / "data" / "lens_triangle.json")
@@ -200,6 +201,47 @@ def test_states_golden(capsys, lens_file):
         "\n"
         "count=1\n"
     )
+
+
+def _oracle_listing(states) -> str:
+    """The ``states`` listing written from {edge id: corner} dicts."""
+    blocks = (
+        f"state {k}:\n" + "".join(f"{e} -> {c}\n" for e, c in sorted(state.items())) + "\n"
+        for k, state in enumerate(states, start=1)
+    )
+    return "".join(blocks) + f"count={len(states)}\n"
+
+
+def _renamed(m: CombinatorialMap, names: dict[str, str]) -> CombinatorialMap:
+    g = m.graph
+    graph = DirectedMultigraph(g.vertices, [e._replace(id=names[e.id]) for e in g.edges])
+    rotation = {
+        v: tuple(Dart(names[d.edge], d.end) for d in darts) for v, darts in m.rotation.items()
+    }
+    return CombinatorialMap(graph, rotation)
+
+
+def test_states_listing_matches_a_formatter_over_oracle_dicts(capsys, tmp_path, lens_map):
+    rng = random.Random(71)
+    maps = []
+    for _ in range(50):
+        # five vertices keep the oracle's 3^E assignments small
+        m = random_plane_map(rng, max_vertices=5, max_weight=4)
+        maps.append((m, rng.choice(m.graph.edges).id))
+    # as strings e10 and e11 sort before e2 and e3, as numbers after them
+    names = {"e12": "e10", "e13": "e2", "e21": "e3", "e23": "e11", "e31": "e1"}
+    maps.append((_renamed(lens_map, names), "e10"))
+    path = tmp_path / "map.json"
+    listed = 0
+    for m, basepoint in maps:
+        path.write_text(map_text(m, basepoint), encoding="utf-8")
+        code, out, err = run(capsys, ["states", str(path)])
+        states = kauffman_states(decorate(m, basepoint))
+        assert (code, err, out) == (0, "", _oracle_listing(states))
+        listed += len(states)
+    assert out.startswith("state 1:\ne1 -> N\ne10 -> N\ne11 -> N\ne2 -> E\ne3 -> E\n\n")
+    assert out.endswith("\ncount=3\n")
+    assert listed > 100
 
 
 def test_bijection_golden(capsys, lens_file):

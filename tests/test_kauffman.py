@@ -10,11 +10,13 @@ import pytest
 
 from moytree import kauffman
 from moytree.generate import (
+    double_edge_map,
     grow_map,
     random_plane_map,
     seed_cycle,
     seed_lens_triangle,
     seed_prism,
+    subdivide_map,
 )
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
@@ -46,9 +48,10 @@ from moytree.spanning import (
     enumerate_trees,
     tree_weight,
 )
-from oracles import is_state, kauffman_states, tree_state, tree_verdict
+from oracles import corner_indices, is_state, kauffman_states, tree_state, tree_verdict
 
-GOLDEN_STATE = {"e12": "N", "e13": "E", "e21": "W", "e23": "N", "e31": "N"}
+# crossings e12 e13 e21 e23 e31 at corners N E W N N (N = 0, W = 1, E = 2)
+GOLDEN_STATE = (0, 2, 1, 0, 0)
 GOLDEN_PAIRS = ((-5, 1), (-3, 2), (-1, 3), (1, 4), (3, 4), (5, 3), (7, 2), (9, 1))
 GOLDEN_STR = (
     "t^{9/2} + 2*t^{7/2} + 3*t^{5/2} + 4*t^{3/2} + 4*t^{1/2} "
@@ -124,11 +127,8 @@ def test_other_basepoints_of_the_lens(lens_map):
 
 def test_enumeration_order_is_canonical(lens_map):
     diagram = decorate(lens_map, "e12")
-    assert enumerate_states(diagram) == [
-        {"e12": "N", "e13": "N", "e21": "N", "e23": "W", "e31": "E"},
-        {"e12": "N", "e13": "E", "e21": "N", "e23": "N", "e31": "W"},
-        {"e12": "N", "e13": "E", "e21": "E", "e23": "N", "e31": "N"},
-    ]
+    # crossings e12 e13 e21 e23 e31: NNNWE, NENNW, NEENN
+    assert enumerate_states(diagram) == [(0, 0, 0, 1, 2), (0, 2, 0, 0, 1), (0, 2, 2, 0, 0)]
 
 
 def test_enumeration_matches_the_brute_force_oracle(lens_map):
@@ -139,7 +139,8 @@ def test_enumeration_matches_the_brute_force_oracle(lens_map):
         m = random_plane_map(rng, max_vertices=5, max_weight=4)
         diagrams += [decorate(m, e.id) for e in m.graph.edges[:3]]
     for diagram in diagrams:
-        assert enumerate_states(diagram) == kauffman_states(diagram)
+        expected = [corner_indices(diagram, s) for s in kauffman_states(diagram)]
+        assert enumerate_states(diagram) == expected
 
 
 # -- local weights ---------------------------------------------------------------
@@ -166,7 +167,8 @@ def test_state_weight_is_the_product_of_local_weights():
         m = random_plane_map(rng, max_vertices=8, max_weight=5)
         diagram = decorate(m, rng.choice(m.graph.edges).id)
         for state in enumerate_states(diagram):
-            factors = [local_weight(diagram, eid, state[eid]) for eid in sorted(state)]
+            corners = zip(diagram.crossings, map("NWE".__getitem__, state))
+            factors = [local_weight(diagram, e, c) for e, c in corners]
             assert state_weight(diagram, state) == reduce(mul, factors, ONE)
             checked += 1
     assert checked > 100
@@ -193,26 +195,30 @@ def test_local_weight_rejects_nonpositive_weights():
 # -- state validation --------------------------------------------------------------
 
 
+def _with(state, position, corner):
+    return state[:position] + (corner,) + state[position + 1 :]
+
+
 def test_state_to_tree_rejects_corrupt_states(lens_diagram):
-    incomplete = dict(GOLDEN_STATE)
-    del incomplete["e13"]
-    with pytest.raises(ValueError, match="every crossing"):
-        state_to_tree(lens_diagram, incomplete)
+    # positions 0-4 are the crossings e12 e13 e21 e23 e31; e23 is the basepoint
+    for wrong_length in (GOLDEN_STATE[:-1], GOLDEN_STATE + (0,), ()):
+        with pytest.raises(ValueError, match="^state must assign a corner to every crossing$"):
+            state_to_tree(lens_diagram, wrong_length)
 
-    extra = dict(GOLDEN_STATE, zz="N")
-    with pytest.raises(ValueError, match="every crossing"):
-        state_to_tree(lens_diagram, extra)
+    for index in (3, -1, "N"):
+        with pytest.raises(ValueError, match=f"^edge 'e13': corner index {index!r} out of range$"):
+            state_to_tree(lens_diagram, _with(GOLDEN_STATE, 1, index))
 
-    basepoint_west = dict(GOLDEN_STATE, e23="W")
-    with pytest.raises(ValueError, match="not admissible"):
-        state_to_tree(lens_diagram, basepoint_west)
+    for corner, name in ((1, "W"), (2, "E")):
+        with pytest.raises(ValueError, match=f"^edge 'e23': corner '{name}' not admissible$"):
+            state_to_tree(lens_diagram, _with(GOLDEN_STATE, 3, corner))
 
-    into_marked = dict(GOLDEN_STATE, e13="W")
-    with pytest.raises(ValueError, match="marked region"):
+    into_marked = _with(GOLDEN_STATE, 1, 1)  # e13 west
+    with pytest.raises(ValueError, match="^edge 'e13': corner lies in a marked region$"):
         state_to_tree(lens_diagram, into_marked)
 
-    collision = dict(GOLDEN_STATE, e13="N")  # circle(v3) is the basepoint's
-    with pytest.raises(ValueError, match="claim the same region"):
+    collision = _with(GOLDEN_STATE, 1, 0)  # e13 north: circle(v3) is the basepoint's
+    with pytest.raises(ValueError, match="^edges 'e13' and 'e23' claim the same region$"):
         state_to_tree(lens_diagram, collision)
 
 
@@ -253,7 +259,7 @@ def test_north_edges_that_are_no_tree_are_identity_violation(lens_diagram):
     # with one north edge off the basepoint: a genuine state whose north
     # edges are one edge for three vertices.
     lens_diagram.corner_region["e12", "E"] = 5
-    state = {"e12": "E", "e13": "E", "e21": "W", "e23": "N", "e31": "N"}
+    state = (2, 2, 1, 0, 0)  # e12 E, e13 E, e21 W, e23 N, e31 N
     with pytest.raises(
         IdentityViolation,
         match="state does not induce a spanning tree: invalid tree: 1 edges for 3",
@@ -317,7 +323,9 @@ def test_the_bijection_matches_the_string_keyed_oracle(doubled_prism, subdivided
         trees = enumerate_trees(diagram.map.graph, diagram.root)
         states = enumerate_states(diagram)
         for tree in trees:
-            assert tree_to_state(diagram, tree) == tree_state(diagram, tree.edges)
+            assert tree_to_state(diagram, tree) == corner_indices(
+                diagram, tree_state(diagram, tree.edges)
+            )
         verdicts = check_bijection(diagram, trees, states)
         expected = [tree_verdict(diagram, t.edges, states) for t in trees]
         assert [(w, ok) for _, w, ok in verdicts] == expected
@@ -336,7 +344,7 @@ def test_the_bijection_matches_the_string_keyed_oracle(doubled_prism, subdivided
         for tree in trees:
             expected = tree_state(diagram, tree.edges)
             if is_state(diagram, expected):
-                assert tree_to_state(diagram, tree) == expected
+                assert tree_to_state(diagram, tree) == corner_indices(diagram, expected)
             else:
                 with pytest.raises(IdentityViolation, match="does not induce a state"):
                     tree_to_state(diagram, tree)
@@ -348,7 +356,7 @@ def test_two_cycle_diagram_by_hand():
     diagram = decorate(two_cycle_map(3, 3), "e")
     states = enumerate_states(diagram)
     # root is b; the only tree is {f}, so the only state sends f north
-    assert states == [{"e": "N", "f": "N"}]
+    assert states == [(0, 0)]
     assert state_sum(diagram) == monomial(1, 3) * quantum_integer(3)
     assert state_sum(diagram).eval_one() == 3 == balanced_count(diagram.map.graph)
 
@@ -382,9 +390,36 @@ def test_three_backends_agree_on_random_diagrams():
         expected = reduce(add, (state_weight(diagram, s) for s in states), HalfLaurent())
         assert state_sum(diagram) == expected
         assert state_sum_by_determinant(diagram) == expected
-        shifts = {kauffman._factors(diagram, sorted(s.items()))[1] % 2 for s in states}
+        shifts = {kauffman._state_factors(diagram, s)[1] % 2 for s in states}
         mixed += len(shifts) == 2
     assert mixed >= 50
+
+
+def test_doubling_or_subdividing_the_basepoint_edge():
+    # Basepoint e of weight w.  Subdivided into two edges, either one as the
+    # basepoint: Δ times [w], no shift.  Split into nested parallels e.a of
+    # weight a and e.b of weight w - a: Δ unchanged from e.b, and
+    # t^(-(w - a)) Δ from e.a.
+    rng = random.Random(61)
+    doubled = 0
+    for _ in range(60):
+        m = random_plane_map(rng, max_vertices=7, max_weight=5)
+        e = rng.choice(m.graph.edges)
+        delta = state_sum(decorate(m, e.id))
+        halves = subdivide_map(m, e.id)
+        cases = [(halves, f"{e.id}.{k}", quantum_integer(e.weight)) for k in (1, 2)]
+        if e.weight >= 2:
+            a = rng.randint(1, e.weight - 1)
+            split = double_edge_map(m, e.id, a)
+            cases += [
+                (split, f"{e.id}.a", monomial(1, -2 * (e.weight - a))),
+                (split, f"{e.id}.b", ONE),
+            ]
+            doubled += 1
+        for changed, basepoint, factor in cases:
+            diagram = decorate(changed, basepoint)
+            assert state_sum(diagram) == state_sum_by_determinant(diagram) == factor * delta
+    assert doubled > 20
 
 
 def test_state_sum_on_a_heavy_prism_matches_the_determinant():
