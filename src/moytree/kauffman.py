@@ -44,7 +44,7 @@ row and every directed cycle peel completely.  The core that is left
 goes through ``spanning.bareiss`` three times:
 
 * with west -> -1 and every other entry 1, |det| is the number of
-  states (``count_states`` and ``enumerate_states``'s guard);
+  states (``enumerate_states``'s guard);
 * at s = 1 (north -> w, east -> 1, west -> -1), det is the core's
   value v, +- its state sum at t = 1, so v = 0 means no state;
 * at s = 2^K with K = bit_length(|v|) + 2 (Kronecker substitution,
@@ -69,20 +69,22 @@ counted on the core of the peel that its search then resumes.
 States correspond bijectively to spanning trees rooted at the head of
 the basepoint edge: tree edges (and the basepoint) go north, and every
 other crossing takes the corner met when its dual edge is crossed while
-growing the dual spanning tree outward from the two marked faces.
-``check_bijection`` checks it tree by tree on integer tables read once
-from ``corner_region`` (``_dual``): per tree it grows the dual forest
-over lists, checks the state on a bytearray of claimed regions,
-multiplies the north weights as ints and looks the state up in a set
-of the listed ones; ``tree_to_state`` is the one-tree case.  The command
-line writes the ``states`` and ``bijection`` listings as one string each.
+growing the dual spanning tree outward from the two marked faces
+(``tree_to_state``).  ``check_bijection`` checks it from the state side:
+each state's north edges minus the basepoint must form a spanning tree,
+no two states may give one tree, and the matrix-tree theorem on the
+unit-weight graph counts the trees, so the map is a bijection when
+that count is the number of states.  The command line writes the
+``states`` and ``bijection`` listings as one string each.
 """
 
 from __future__ import annotations
 
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .graph import DirectedMultigraph
 from .laurent import HalfLaurent, monomial, quantum_coefficients, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
 from .spanning import (
@@ -91,6 +93,7 @@ from .spanning import (
     SpanningTree,
     _validate_tree,
     bareiss,
+    count_by_determinant,
 )
 
 State = tuple[int, ...]
@@ -316,7 +319,9 @@ def state_weight(diagram: DecoratedDiagram, state: State) -> HalfLaurent:
     """Product of local weights over all crossings of one state.
 
     The monomials add up to one shift and the quantum integers multiply
-    by sliding windows (``quantum_product``), linear in the span."""
+    by sliding windows (``quantum_product``), linear in the span.  Refuses
+    what ``state_to_tree`` refuses of a state (``_require_state``)."""
+    _require_state(diagram, state)
     return quantum_product(*_state_factors(diagram, state))
 
 
@@ -420,13 +425,6 @@ def state_sum_by_determinant(diagram: DecoratedDiagram) -> HalfLaurent:
     return HalfLaurent() if peeled is None else _determinant_sum(diagram, *peeled)
 
 
-def count_states(diagram: DecoratedDiagram) -> int:
-    """The number of Kauffman states, from one small-int determinant of
-    the peeled core with W -> -1 and every other live entry 1."""
-    peeled = next(_peel(diagram))
-    return 0 if peeled is None else _state_count(peeled[1])
-
-
 def alexander(diagram: DecoratedDiagram, force: bool = False) -> HalfLaurent:
     """The state sum by the backend the input favours: the determinant
     when the core is empty or has at least as many states as its largest
@@ -465,8 +463,15 @@ def _dual(diagram: DecoratedDiagram) -> tuple:
     return {e: i for i, e in enumerate(crossings)}, regions, border
 
 
-def _tree_corners(diagram: DecoratedDiagram, dual: tuple, tree: SpanningTree) -> list[int]:
-    """``tree_to_state``'s state as corner indices in ``crossings`` order."""
+def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
+    """The state matching a spanning tree rooted at head(basepoint).
+
+    Tree edges and the basepoint go north.  Growing the dual forest
+    breadth-first from the two marked faces, each dual edge crossed out
+    of a grown face gives its crossing the corner on the far side.  A
+    result that is not a state violates the correspondence:
+    IdentityViolation.
+    """
     if tree.root != diagram.root:
         raise ValueError(
             f"tree root {tree.root!r} differs from head of basepoint "
@@ -476,7 +481,7 @@ def _tree_corners(diagram: DecoratedDiagram, dual: tuple, tree: SpanningTree) ->
         raise ValueError("the basepoint edge cannot belong to the tree")
     _validate_tree(diagram.map.graph, tree)
 
-    index, regions, border = dual
+    index, regions, border = _dual(diagram)
     corners = [-1] * len(regions)
     corners[index[diagram.basepoint]] = _N
     for eid in tree.edges:
@@ -492,19 +497,7 @@ def _tree_corners(diagram: DecoratedDiagram, dual: tuple, tree: SpanningTree) ->
         _check_state(diagram, regions, corners)
     except ValueError as exc:
         raise IdentityViolation(f"tree does not induce a state: {exc}") from exc
-    return corners
-
-
-def tree_to_state(diagram: DecoratedDiagram, tree: SpanningTree) -> State:
-    """The state matching a spanning tree rooted at head(basepoint).
-
-    Tree edges and the basepoint go north.  Growing the dual forest
-    breadth-first from the two marked faces, each dual edge crossed out
-    of a grown face gives its crossing the corner on the far side.  A
-    result that is not a state violates the correspondence:
-    IdentityViolation.
-    """
-    return tuple(_tree_corners(diagram, _dual(diagram), tree))
+    return tuple(corners)
 
 
 def _check_state(diagram: DecoratedDiagram, regions: list, corners: Sequence[int]) -> None:
@@ -529,14 +522,9 @@ def _check_state(diagram: DecoratedDiagram, regions: list, corners: Sequence[int
     # |crossings| = |unmarked regions|, so injective means bijective.
 
 
-def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
-    """The spanning tree matching a state: north edges minus the basepoint.
-
-    Validates that the input is a genuine state, then re-validates the
-    resulting edge set as a spanning tree rooted at head(basepoint); a
-    failure of the latter would contradict the correspondence theorem and
-    raises IdentityViolation.
-    """
+def _require_state(diagram: DecoratedDiagram, state: State) -> None:
+    """Raise ValueError unless state is a state: an admissible corner
+    index per crossing, claiming every unmarked region once."""
     crossings = diagram.crossings
     if len(state) != len(crossings):
         raise ValueError("state must assign a corner to every crossing")
@@ -546,32 +534,50 @@ def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
         if CORNERS[c] not in diagram.admissible_corners(eid):
             raise ValueError(f"edge {eid!r}: corner {CORNERS[c]!r} not admissible")
     _check_state(diagram, _dual(diagram)[1], state)
+
+
+def _north_tree(diagram: DecoratedDiagram, state: State, name="state") -> tuple:
+    """The state's north edges minus the basepoint as a SpanningTree and
+    its Edges (``_validate_tree``); IdentityViolation naming the state
+    as name if they are no spanning tree rooted at head(basepoint)."""
     basepoint = diagram.basepoint
-    north = frozenset(e for e, c in zip(crossings, state) if c == _N and e != basepoint)
+    north = frozenset(e for e, c in zip(diagram.crossings, state) if c == _N and e != basepoint)
     tree = SpanningTree(diagram.root, north)
     try:
-        _validate_tree(diagram.map.graph, tree)
+        return tree, _validate_tree(diagram.map.graph, tree)
     except ValueError as exc:
-        raise IdentityViolation(f"state does not induce a spanning tree: {exc}") from exc
-    return tree
+        raise IdentityViolation(f"{name} does not induce a spanning tree: {exc}") from exc
+
+
+def state_to_tree(diagram: DecoratedDiagram, state: State) -> SpanningTree:
+    """The spanning tree matching a state (``_north_tree``), after
+    refusing an input that is no state with ValueError."""
+    _require_state(diagram, state)
+    return _north_tree(diagram, state)[0]
 
 
 def check_bijection(
-    diagram: DecoratedDiagram, trees: list[SpanningTree], states: list[State]
-) -> list[tuple[SpanningTree, int, bool]]:
-    """Every tree's verdict as (tree, weight, ok), all found before a caller
-    prints one: ok is membership of the tree's state (``tree_to_state``)
-    in ``states``, and the weight multiplies its north quantum weights
-    as ints, refusing a nonpositive edge weight as ``_factors`` would."""
-    dual = _dual(diagram)
-    crossings = diagram.crossings
-    known = set(states)
-    verdicts = []
-    for tree in trees:
-        corners = _tree_corners(diagram, dual, tree)
-        if not verdicts:  # weighed once the first tree is checked
-            weights = [_crossing_weight(diagram, e) for e in crossings]
-            weights[dual[0][diagram.basepoint]] = 1  # north is t^(w/2), 1 at t = 1
-        weight = prod(w for w, c in zip(weights, corners) if c == _N)
-        verdicts.append((tree, weight, tuple(corners) in known))
-    return verdicts
+    diagram: DecoratedDiagram, states: list[State]
+) -> tuple[list[tuple[SpanningTree, int]], int]:
+    """Each state's tree (``_north_tree``) and its weight, the int product
+    of its edge weights, in ``enumerate_trees`` order; and the number of
+    trees rooted at head(basepoint), from the unit-weight determinant.
+
+    Two states with one tree raise IdentityViolation, naming both by
+    their 1-based position, so the map is injective: a bijection when
+    that number is len(states).  A nonpositive crossing weight is refused
+    as ``_factors`` would."""
+    for eid in diagram.crossings:
+        _crossing_weight(diagram, eid)
+    found: dict[tuple[str, ...], tuple] = {}
+    for k, state in enumerate(states, start=1):
+        tree, edges = _north_tree(diagram, state, f"state {k}")
+        # enumerate_trees order: the in-edge ids of the non-root vertices,
+        # taken in vertex id order
+        key = tuple(e.id for e in sorted(edges, key=itemgetter(2)))
+        if key in found:
+            raise IdentityViolation(f"states {found[key][0]} and {k} induce one spanning tree")
+        found[key] = k, tree, prod(e.weight for e in edges)
+    g = diagram.map.graph
+    unit = DirectedMultigraph(g.vertices, [e._replace(weight=1) for e in g.edges])
+    return [found[key][1:] for key in sorted(found)], count_by_determinant(unit, diagram.root)

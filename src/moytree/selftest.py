@@ -101,9 +101,11 @@ def check_root_independence(seed: int, trials: int = 100) -> CheckResult:
 def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
     """On plane diagrams: the state sum by enumeration equals the one by
     determinant, its value at t = 1 equals the tree count, it is
-    symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), every tree's state is enumerated
-    and every state round-trips through its tree, and each state weight
-    equals the general product of its local weights."""
+    symmetric (Δ(1/t) = ±t^(d/2)·Δ(t)), ``check_bijection`` lists the
+    trees of ``enumerate_trees`` in order and counts as many as there are
+    states, every tree's state is enumerated and every state round-trips
+    through its tree, and each state weight equals the general product of
+    its local weights."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):
@@ -115,8 +117,9 @@ def check_main_theorem(seed: int, trials: int = 50) -> CheckResult:
         poly = state_sum(diagram)
         good = poly == state_sum_by_determinant(diagram)
         good = good and poly.eval_one() == balanced_count(m.graph) and is_symmetric(poly)
-        good = good and len(trees) == len(states)
-        good = good and all(ok for _, _, ok in check_bijection(diagram, trees, states))
+        listed, count = check_bijection(diagram, states)
+        good = good and count == len(states) and [t for t, _ in listed] == trees
+        good = good and all(tree_to_state(diagram, tree) in states for tree in trees)
         for state in states:
             good = good and tree_to_state(diagram, state_to_tree(diagram, state)) == state
             corners = zip(diagram.crossings, map(CORNERS.__getitem__, state))

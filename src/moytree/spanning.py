@@ -90,16 +90,13 @@ def _validate_tree(g: DirectedMultigraph, tree: SpanningTree) -> list:
 
 def tree_weight(g: DirectedMultigraph, tree: SpanningTree) -> int:
     """Product of the weights of the tree's edges; 1 for the empty tree."""
-    w = 1
-    for e in _validate_tree(g, tree):
-        w *= e.weight
-    return w
+    return prod(e.weight for e in _validate_tree(g, tree))
 
 
-def _check_guard(candidates: dict[str, list], n: int, force: bool, listed: bool) -> None:
+def _check_guard(candidates: dict[str, list], n: int, force: bool) -> None:
     if force:
         return
-    if listed and n > MAX_ENUM_VERTICES:
+    if n > MAX_ENUM_VERTICES:
         raise EnumerationLimitError(
             f"{n} vertices exceeds the enumeration limit of "
             f"{MAX_ENUM_VERTICES}; pass force=True (--force) to override"
@@ -114,7 +111,7 @@ def _check_guard(candidates: dict[str, list], n: int, force: bool, listed: bool)
             )
 
 
-def _tree_edges(g: DirectedMultigraph, root: str, force: bool, listed=True) -> Iterator[list]:
+def _tree_edges(g: DirectedMultigraph, root: str, force: bool) -> Iterator[list]:
     """Each spanning tree rooted at root as the list of its chosen in-edges,
     one per non-root vertex, in canonical order (``enumerate_trees``).
     The same list is yielded each time, changed in place between trees.
@@ -135,7 +132,7 @@ def _tree_edges(g: DirectedMultigraph, root: str, force: bool, listed=True) -> I
     candidates = {
         v: [e for e in g.in_edges(v) if e.tail != v] for v in order
     }
-    _check_guard(candidates, len(g.vertices), force, listed)
+    _check_guard(candidates, len(g.vertices), force)
 
     link = {v: v for v in g.vertices}  # union-find parent; roots link to themselves
     size = dict.fromkeys(g.vertices, 1)
@@ -195,13 +192,6 @@ def enumerate_trees(
         SpanningTree(root, frozenset(e.id for e in edges))
         for edges in _tree_edges(g, root, force)
     ]
-
-
-def iter_trees(g: DirectedMultigraph, root: str, force=False) -> Iterator[SpanningTree]:
-    """``enumerate_trees`` one at a time.  The caller bounds how many it
-    takes, so the guard skips the vertex limit."""
-    for edges in _tree_edges(g, root, force, False):
-        yield SpanningTree(root, frozenset(e.id for e in edges))
 
 
 def count_by_enumeration(

@@ -6,7 +6,6 @@ import hashlib
 import json
 import random
 import shlex
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -254,34 +253,60 @@ def test_bijection_golden(capsys, lens_file):
     )
 
 
+def _corrupt_decorate(monkeypatch, corrupt) -> None:
+    real_decorate = cli.decorate
+
+    def corrupted(m, basepoint):
+        d = real_decorate(m, basepoint)
+        corrupt(d.corner_region)
+        return d
+
+    monkeypatch.setattr(cli, "decorate", corrupted)
+
+
 @pytest.mark.parametrize("edge", ("e13", "e21"))
 @pytest.mark.parametrize("side, other", (("W", "E"), ("E", "W")))
 def test_bijection_state_check_failure_is_identity_violation(
     capsys, monkeypatch, edge, side, other
 ):
-    real_decorate = cli.decorate
+    # One corner of a non-tree crossing moved onto the region of its other
+    # corner: either two listed states send the same edges north, or no
+    # state is left against the one tree the determinant counts.
+    def corrupt(corner_region):
+        corner_region[edge, side] = corner_region[edge, other]
 
-    def corrupted(m, basepoint):
-        d = real_decorate(m, basepoint)
-        d.corner_region[edge, side] = d.corner_region[edge, other]
-        return d
-
-    monkeypatch.setattr(cli, "decorate", corrupted)
+    _corrupt_decorate(monkeypatch, corrupt)
     code, out, err = run(capsys, ["bijection", LENS_DATA])
     assert code == 1
-    assert out == ""
-    assert err.startswith("identity violated: tree does not induce a state")
+    if (edge, side) in (("e13", "W"), ("e21", "E")):
+        assert (out, err) == ("", "identity violated: states 1 and 2 induce one spanning tree\n")
+    else:
+        assert (out, err) == ("root=v3 trees=1 states=0\nbijection=fail\n", "")
 
 
-def test_bijection_reports_a_tree_whose_state_is_not_enumerated(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_states", lambda diagram, force: [])
-    code, out, _ = run(capsys, ["bijection", LENS_DATA])
-    assert code == 1
-    assert out == (
-        "root=v3 trees=1 states=0\n"
-        "tree: e12 e31 -> MISMATCH weight=20\n"
-        "bijection=fail\n"
+def test_bijection_names_the_state_whose_north_edges_are_no_tree(capsys, monkeypatch):
+    # e12's east corner moved onto the circle of v2: the second listed
+    # state sends only the basepoint and e31 north, one edge for three
+    # vertices
+    def corrupt(corner_region):
+        corner_region["e12", "E"] = 5
+
+    _corrupt_decorate(monkeypatch, corrupt)
+    code, out, _ = run(capsys, ["states", LENS_DATA])
+    assert (code, out.split("state 2:\n")[1].split("\n")[0]) == (0, "e12 -> E")
+    code, out, err = run(capsys, ["bijection", LENS_DATA])
+    assert (code, out) == (1, "")
+    assert err == (
+        "identity violated: state 2 does not induce a spanning tree: "
+        "invalid tree: 1 edges for 3 vertices\n"
     )
+
+
+def test_bijection_with_no_state_listed_counts_one_tree_more(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_states", lambda diagram, force: [])
+    code, out, err = run(capsys, ["bijection", LENS_DATA])
+    assert (code, err) == (1, "")
+    assert out == "root=v3 trees=1 states=0\nbijection=fail\n"
 
 
 def test_refused_bijection_prints_nothing_on_stdout(capsys, tmp_path):
@@ -606,13 +631,14 @@ def test_bijection_is_bounded_by_the_state_count_not_the_vertex_count(
         assert (code, err) == (0, "")
         assert f" trees={count} states={count}\n" in out
         assert out.endswith("\nbijection=ok\n")
-    # with 5 of the 48 states listed, the tree enumeration stops at the sixth
+    # with 5 of the 48 states listed, their 5 trees are listed against
+    # the 48 that the determinant counts
     real = cli.enumerate_states
     monkeypatch.setattr(cli, "enumerate_states", lambda diagram, force: real(diagram, force=force)[:5])
     code, out, err = run(capsys, ["bijection", str(path)])
     assert (code, err) == (1, "")
-    assert " trees=6 states=5\n" in out
-    assert out.count("\ntree: ") == 6
+    assert " trees=48 states=5\n" in out
+    assert out.count("\ntree: ") == 5
     assert out.endswith("\nbijection=fail\n")
 
 
@@ -636,8 +662,9 @@ def test_the_state_guard_and_the_listing_share_one_search(
 
 def _nested_digons(k: int) -> str:
     """Root r with nested digons r <-> a_i and a digon a_i <-> b_i on each
-    a_i; basepoint a_0 -> r.  One state and one tree, but the tree search
-    tries b_i -> a_i at every a_i and fails only at b_i: 2^k dead ends."""
+    a_i; basepoint a_0 -> r.  One state and one tree, but a search over
+    trees would try b_i -> a_i at every a_i and fail only at b_i: 2^k dead
+    ends."""
     a = [f"a{i:02d}" for i in range(k)]
     b = [f"b{i:02d}" for i in range(k)]
     edges, rotation = [], {}
@@ -654,27 +681,19 @@ def _nested_digons(k: int) -> str:
     return map_text(m, "q00")
 
 
-def test_bijection_keeps_the_in_degree_guard_on_the_tree_search(capsys, tmp_path):
-    # small: one state, one tree, no --force needed
+def test_bijection_on_nested_digons_needs_no_in_degree_guard(capsys, tmp_path):
+    # one state and one tree; k = 30 is an in-degree product of 2^30, which
+    # a search over trees would have to guard, but one state maps to its
+    # tree at once
     path = tmp_path / "digons.json"
-    path.write_text(_nested_digons(3), encoding="utf-8")
-    code, out, err = run(capsys, ["bijection", str(path)])
-    assert (code, err) == (0, "")
-    assert out.startswith("root=r trees=1 states=1\n")
-    # k = 30: one state, but an in-degree product of 2^30; without the
-    # guard the search would run for 2^31 steps, so run it in a child
-    # process under a timeout
-    path.write_text(_nested_digons(30), encoding="utf-8")
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "moytree.cli", "bijection", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "in-degree product exceeds" in proc.stderr
+    for k in (3, 30):
+        path.write_text(_nested_digons(k), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["bijection", str(path)])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.startswith("root=r trees=1 states=1\n")
+        assert out.endswith("\nbijection=ok\n")
 
 
 # sha256 of stdout at the commit before the integer bijection and the

@@ -22,7 +22,6 @@ from moytree.graph import DirectedMultigraph, Edge
 from moytree.kauffman import (
     alexander,
     check_bijection,
-    count_states,
     enumerate_states,
     local_weight,
     state_sum,
@@ -222,6 +221,20 @@ def test_state_to_tree_rejects_corrupt_states(lens_diagram):
         state_to_tree(lens_diagram, collision)
 
 
+def test_state_weight_refuses_what_state_to_tree_refuses(lens_diagram):
+    # the first two were once weighed silently, as 5 and 20 at t = 1
+    for state, message in (
+        ((0, 2, 1, 0), "^state must assign a corner to every crossing$"),
+        ((0, 2, -2, 0, 0), "^edge 'e21': corner index -2 out of range$"),
+        (_with(GOLDEN_STATE, 3, 1), "^edge 'e23': corner 'W' not admissible$"),
+        (_with(GOLDEN_STATE, 1, 1), "^edge 'e13': corner lies in a marked region$"),
+        (_with(GOLDEN_STATE, 1, 0), "^edges 'e13' and 'e23' claim the same region$"),
+    ):
+        for refuse in (state_to_tree, state_weight):
+            with pytest.raises(ValueError, match=message):
+                refuse(lens_diagram, state)
+
+
 def test_tree_to_state_rejects_wrong_roots(lens_diagram, lens_graph):
     wrong_root = enumerate_trees(lens_graph, "v1")[0]
     with pytest.raises(ValueError, match="differs from head of basepoint"):
@@ -292,22 +305,30 @@ def test_bijection_round_trips_on_random_diagrams():
 
 
 def test_check_bijection_flags_exactly_the_tree_whose_state_is_missing():
+    # a dropped state drops exactly its tree from the listing, and the
+    # unit-weight count reads one tree more than the states
     rng = random.Random(43)
     for _ in range(20):
         m = random_plane_map(rng, max_vertices=7, max_weight=4)
         diagram = decorate(m, rng.choice(m.graph.edges).id)
         trees = enumerate_trees(m.graph, diagram.root)
         states = enumerate_states(diagram)
-        verdicts = check_bijection(diagram, trees, states)
-        assert [(t, w) for t, w, _ in verdicts] == [
-            (t, tree_weight(m.graph, t)) for t in trees
-        ]
-        assert all(ok for _, _, ok in verdicts)
+        listed, count = check_bijection(diagram, states)
+        assert listed == [(t, tree_weight(m.graph, t)) for t in trees]
+        assert count == len(trees) == len(states)
+        assert check_bijection(diagram, states[::-1]) == (listed, count)
         k = rng.randrange(len(states))
         missing = states[:k] + states[k + 1 :]
-        flags = [ok for _, _, ok in check_bijection(diagram, trees, missing)]
-        assert flags == [tree_to_state(diagram, t) != states[k] for t in trees]
-        assert flags.count(False) == 1
+        listed, count = check_bijection(diagram, missing)
+        assert [t for t, _ in listed] == [
+            t for t in trees if tree_to_state(diagram, t) != states[k]
+        ]
+        assert (len(listed), count) == (len(missing), len(missing) + 1)
+        with pytest.raises(
+            IdentityViolation,
+            match=f"^states {k + 1} and {len(states) + 1} induce one spanning tree$",
+        ):
+            check_bijection(diagram, states + [states[k]])
 
 
 def test_the_bijection_matches_the_string_keyed_oracle(doubled_prism, subdivided_prism):
@@ -326,16 +347,17 @@ def test_the_bijection_matches_the_string_keyed_oracle(doubled_prism, subdivided
             assert tree_to_state(diagram, tree) == corner_indices(
                 diagram, tree_state(diagram, tree.edges)
             )
-        verdicts = check_bijection(diagram, trees, states)
+        listed, count = check_bijection(diagram, states)
         expected = [tree_verdict(diagram, t.edges, states) for t in trees]
-        assert [(w, ok) for _, w, ok in verdicts] == expected
-        assert [t for t, _, _ in verdicts] == trees
+        assert listed == [(t, w) for t, (w, _) in zip(trees, expected)]
         assert all(ok for _, ok in expected)
+        assert count == len(states)
         k = rng.randrange(len(states))
         dropped = states[:k] + states[k + 1 :]
-        flags = [ok for _, _, ok in check_bijection(diagram, trees, dropped)]
-        assert flags == [tree_verdict(diagram, t.edges, dropped)[1] for t in trees]
-        assert flags.count(False) == 1
+        listed, count = check_bijection(diagram, dropped)
+        kept = [t for t in trees if tree_verdict(diagram, t.edges, dropped)[1]]
+        assert [t for t, _ in listed] == kept
+        assert (len(kept), count) == (len(dropped), len(dropped) + 1)
         # one corner moved to another region: the oracle's walk and the
         # state check decide what is still a state
         edge = rng.choice([e for e in diagram.crossings if e != diagram.basepoint])
@@ -364,6 +386,13 @@ def test_two_cycle_diagram_by_hand():
 # -- the determinant backend ------------------------------------------------------------
 
 
+def _guard_count(diagram):
+    """The state count that ``enumerate_states``'s guard reads: |det| of
+    the peel's core with W -> -1, or 0 when the peel finds no state."""
+    peeled = next(kauffman._peel(diagram))
+    return 0 if peeled is None else kauffman._state_count(peeled[1])
+
+
 def test_determinant_equals_enumeration_on_random_diagrams():
     rng = random.Random(300)
     pairs = 0
@@ -372,7 +401,7 @@ def test_determinant_equals_enumeration_on_random_diagrams():
         for e in m.graph.edges[:3]:
             diagram = decorate(m, e.id)
             assert state_sum_by_determinant(diagram) == state_sum(diagram)
-            assert count_states(diagram) == len(enumerate_states(diagram))
+            assert _guard_count(diagram) == len(enumerate_states(diagram))
             pairs += 1
     assert pairs > 800
 
@@ -456,7 +485,9 @@ def test_determinant_backend_on_a_grown_map():
     # 120 edges and 1.2 million states: far past enumeration
     m = grow_map(random.Random(1), seed_prism(9, 9, 9), 120)
     diagram = decorate(m, m.graph.edges[0].id)
-    assert count_states(diagram) == 1202688
+    assert _guard_count(diagram) == 1202688
+    with pytest.raises(EnumerationLimitError, match="^1202688 states exceeds"):
+        enumerate_states(diagram)
     p = state_sum_by_determinant(diagram)
     assert p.eval_one() == balanced_count(m.graph)
     assert is_symmetric(p)
@@ -470,7 +501,7 @@ def test_a_diagram_without_states_sums_to_zero():
     )
     diagram = decorate(m, "e")
     assert enumerate_states(diagram) == []
-    assert count_states(diagram) == 0
+    assert _guard_count(diagram) == 0
     assert not state_sum_by_determinant(diagram)
     assert not alexander(diagram)
 
