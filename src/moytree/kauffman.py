@@ -81,7 +81,6 @@ that count is the number of states.  The command line writes the
 from __future__ import annotations
 
 from math import prod
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import DirectedMultigraph
@@ -574,7 +573,7 @@ def check_bijection(
         tree, edges = _north_tree(diagram, state, f"state {k}")
         # enumerate_trees order: the in-edge ids of the non-root vertices,
         # taken in vertex id order
-        key = tuple(e.id for e in sorted(edges, key=itemgetter(2)))
+        key = tuple(e.id for e in sorted(edges, key=lambda e: e.head))
         if key in found:
             raise IdentityViolation(f"states {found[key][0]} and {k} induce one spanning tree")
         found[key] = k, tree, prod(e.weight for e in edges)
