@@ -37,6 +37,8 @@ from .spanning import (
     count_by_enumeration,
     enumerate_trees,
     laplacian,
+    require_balanced_connected,
+    root_free_counts,
 )
 
 
@@ -74,7 +76,10 @@ def _cmd_validate(args) -> int:
     balanced, connected = is_balanced(g), is_connected(g)
     report("balance", balanced)
     report("connectivity", connected)
-    report("strong-connectivity", is_strongly_connected(g))
+    # a positive, balanced, connected graph is strongly connected: each
+    # edge lies on a cycle, so only a failed premise needs the searches
+    strong = (positive and balanced and connected) or is_strongly_connected(g)
+    report("strong-connectivity", strong)
     if doc.dart_numbers is None:
         print("rotation=absent")
     else:
@@ -191,8 +196,8 @@ def _cmd_subdivide_check(args) -> int:
     doc = load_document(args.file)
     g = doc.graph
     e = g.edge(args.edge)
-    before = balanced_count(g)
-    after = balanced_count(subdivide_edge(g, args.edge))
+    require_balanced_connected(g)
+    before, after = root_free_counts([g, subdivide_edge(g, args.edge)])
     ok = after == e.weight * before
     print(f"n={before}")
     print(f"n_subdivided={after}")

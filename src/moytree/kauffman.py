@@ -83,7 +83,6 @@ from __future__ import annotations
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import DirectedMultigraph
 from .laurent import HalfLaurent, monomial, quantum_coefficients, quantum_integer, quantum_product
 from .planar import CORNERS, EAST, NORTH, WEST, DecoratedDiagram
 from .spanning import (
@@ -577,6 +576,5 @@ def check_bijection(
         if key in found:
             raise IdentityViolation(f"states {found[key][0]} and {k} induce one spanning tree")
         found[key] = k, tree, prod(e.weight for e in edges)
-    g = diagram.map.graph
-    unit = DirectedMultigraph(g.vertices, [e._replace(weight=1) for e in g.edges])
-    return [found[key][1:] for key in sorted(found)], count_by_determinant(unit, diagram.root)
+    trees = count_by_determinant(diagram.map.graph, diagram.root, unit=True)
+    return [found[key][1:] for key in sorted(found)], trees

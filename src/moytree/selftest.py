@@ -37,13 +37,14 @@ from .kauffman import (
 )
 from .laurent import ONE, is_symmetric
 from .planar import CORNERS, decorate
-from .skein import verify_skein_t1
+from .skein import resolve_G1, resolve_G2, verify_skein_t1
 from .spanning import (
     balanced_count,
     count_by_determinant,
     count_by_enumeration,
     enumerate_trees,
     root_free_count,
+    root_free_counts,
 )
 
 
@@ -146,7 +147,8 @@ def _host_with_weights(i: int, j: int) -> tuple[DirectedMultigraph, tuple[str, s
 
 def check_skein(seed: int, trials: int = 100) -> CheckResult:
     """The t = 1 relation holds with residual exactly 0, covering i < j,
-    i = j and i > j."""
+    i = j and i > j, and its three counts from one shared elimination
+    equal three separate ``root_free_count`` eliminations."""
     rng = random.Random(seed)
     cases = []
     for i, j in product(range(1, 5), repeat=2):
@@ -162,7 +164,9 @@ def check_skein(seed: int, trials: int = 100) -> CheckResult:
         i = g.edge(edge_i).weight
         j = g.edge(edge_j).weight
         seen["lt" if i < j else "eq" if i == j else "gt"] += 1
-        if verify_skein_t1(g, edge_i, edge_j).holds:
+        check = verify_skein_t1(g, edge_i, edge_j)
+        resolved = (g, resolve_G1(g, edge_i, edge_j), resolve_G2(g, edge_i, edge_j))
+        if check.holds and (check.n, check.n1, check.n2) == tuple(map(root_free_count, resolved)):
             passed += 1
     notes = (f"orderings i<j:{seen['lt']} i=j:{seen['eq']} i>j:{seen['gt']}",)
     if 0 in seen.values():
@@ -171,7 +175,8 @@ def check_skein(seed: int, trials: int = 100) -> CheckResult:
 
 
 def check_subdivision(seed: int, trials: int = 50) -> CheckResult:
-    """Subdividing an edge scales the balanced count by that edge's weight."""
+    """Subdividing an edge scales the balanced count by that edge's weight;
+    the pair from one shared elimination equals two separate counts."""
     rng = random.Random(seed)
     passed = 0
     for _ in range(trials):
@@ -179,7 +184,10 @@ def check_subdivision(seed: int, trials: int = 50) -> CheckResult:
         if not g.edges:
             continue
         e = rng.choice(g.edges)
-        if balanced_count(subdivide_edge(g, e.id)) == e.weight * balanced_count(g):
+        sub = subdivide_edge(g, e.id)
+        before, after = root_free_counts([g, sub])
+        alone = (balanced_count(g), balanced_count(sub))
+        if (before, after) == alone and after == e.weight * before:
             passed += 1
     return CheckResult("subdivision", passed, trials)
 

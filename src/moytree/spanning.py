@@ -8,21 +8,25 @@ trees of the product of edge weights.
 Two independent backends compute N: direct backtracking enumeration and
 the reduced-Laplacian determinant (delete row and column of the root).
 Every determinant is one sparse fraction-free elimination over Python
-ints (``bareiss``), exact for any integer weights, including zero and
-negative ones; it pivots on the diagonal in Markowitz order and rescales
-untouched rows lazily, so a sparse Laplacian stays sparse.  For balanced
-graphs every row and column of the Laplacian sums to zero, hence all
-cofactors agree and N is independent of the root.  The root-free count
-therefore takes one elimination, of the transposed Laplacian bordered
-with 1 in the column of vertex 0, moved last: its determinant is the sum
-of all n root counts, n * N, and its leading minor is N itself.
+ints (``_Elimination``, run by ``bareiss``), exact for any integer
+weights, including zero and negative ones; it pivots on the diagonal in
+Markowitz order and rescales untouched rows lazily, so a sparse
+Laplacian stays sparse.  For balanced graphs every row and column of the
+Laplacian sums to zero, hence all cofactors agree and N is independent
+of the root.  The root-free count therefore takes one elimination, of
+the transposed Laplacian bordered with 1 in the column of vertex 0,
+moved last: its determinant is the sum of all n root counts, n * N, and
+its leading minor is N itself.  ``root_free_counts`` certifies several
+graphs that differ at a few vertices, as the local relations compare
+them, with one elimination of the block they share and a small finish
+per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import DirectedMultigraph, is_balanced, is_connected
 
@@ -202,19 +206,20 @@ def count_by_enumeration(
     return sum(prod(e.weight for e in edges) for edges in _tree_edges(g, root, force))
 
 
-def _transposed_laplacian(g: DirectedMultigraph, last: int) -> list[dict[int, int]]:
-    """Rows of the transposed Laplacian as {column: value} dicts, vertex
-    number ``last`` moved to the end: row h holds the total weight into h
-    on the diagonal and minus the weight from each tail t in column t.
+def _transposed_laplacian(
+    g: DirectedMultigraph, pos: dict[str, int], unit: bool = False
+) -> list[dict[int, int]]:
+    """Rows of the transposed Laplacian as {column: value} dicts, vertex v
+    at row and column pos[v], one row for each entry of pos: row h holds
+    the total weight into h on the diagonal and minus the weight from
+    each tail t in column t; with unit, every weight counts 1.
     Self-loops contribute nothing.  Every Laplacian here is built by it."""
-    pos = {v: i - (i > last) for i, v in enumerate(g.vertices)}
-    pos[g.vertices[last]] = len(g.vertices) - 1
-    rows: list[dict[int, int]] = [{} for _ in g.vertices]
+    rows: list[dict[int, int]] = [{} for _ in pos]
     for e in g.edges:
         if e.tail != e.head:
-            t, h = pos[e.tail], pos[e.head]
-            rows[h][h] = rows[h].get(h, 0) + e.weight
-            rows[h][t] = rows[h].get(t, 0) - e.weight
+            t, h, w = pos[e.tail], pos[e.head], 1 if unit else e.weight
+            rows[h][h] = rows[h].get(h, 0) + w
+            rows[h][t] = rows[h].get(t, 0) - w
     return rows
 
 
@@ -225,110 +230,152 @@ def laplacian(g: DirectedMultigraph) -> tuple[tuple[int, ...], ...]:
     vertex i to vertex j; the diagonal entry (j, j) is the total weight
     of edges into vertex j.  Self-loops contribute nothing.
     """
-    cols = _transposed_laplacian(g, len(g.vertices) - 1)
+    cols = _transposed_laplacian(g, {v: i for i, v in enumerate(g.vertices)})
     return tuple(tuple(col.get(i, 0) for col in cols) for i in range(len(cols)))
+
+
+class _Elimination:
+    """A sparse fraction-free (Bareiss) elimination, run a block at a time.
+
+    Step k pivots on p_k = a_rc and rewrites the other rows as
+    a_ij <- (p_k a_ij - a_ic a_rj) / p_(k-1), with p_0 = 1.  Each value
+    is a minor of the matrix (Sylvester's identity), so each division is
+    exact.  Rows are scaled lazily: a row without an entry in column c is
+    only multiplied by p_k / p_(k-1), so a row last rewritten at step m
+    holds exactly p_m / p_(k-1) times its step-(k-1) values and is
+    rewritten as a_ij <- (p_k a_ij - a_ic a'_rj) / p_m, with a' the pivot
+    row brought up to step k - 1.  Entries that cancel are dropped.
+
+    ``a[i]`` holds row i's nonzero entries, ``cols[j]`` the live rows with
+    an entry in column j, ``level[i]`` the step row i's values are from,
+    ``piv`` the pivots p_0, p_1, ... and ``tau`` each pivot row's column.
+    """
+
+    __slots__ = ("a", "cols", "live", "level", "piv", "tau")
+
+    def __init__(self, rows):
+        n = len(rows)
+        self.a: list[dict[int, int]] = []
+        self.cols = [set() for _ in range(n)]
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                if len(row) != n:
+                    raise ValueError("matrix must be square")
+                row = dict(enumerate(row))
+            elif not all(0 <= j < n for j in row):
+                raise ValueError("matrix must be square")
+            self.a.append({j: x for j, x in row.items() if x})
+            for j in self.a[i]:
+                self.cols[j].add(i)
+        self.live = set(range(n))
+        self.level = [0] * n
+        self.piv = [1]
+        self.tau: dict[int, int] = {}
+
+    def run(self, kept) -> None:
+        """Pivot outside the rows and columns in kept until the live block
+        there has no nonzero entry.  Pivots are its diagonal entries in
+        Markowitz order, least (r - 1)(c - 1) for r entries in the column
+        and c in the row, kept in buckets by cost; when that diagonal is
+        all 0, any nonzero entry of the block is the pivot."""
+        a, cols, live, level, piv, tau = (
+            self.a, self.cols, self.live, self.level, self.piv, self.tau
+        )
+        cost: dict[int, int] = {}  # diagonal candidate -> its Markowitz cost
+        buckets: dict[int, set[int]] = {}  # cost -> the candidates at that cost
+
+        def place(i: int) -> None:
+            old = cost.pop(i, None)
+            if old is not None:
+                buckets[old].discard(i)
+                if not buckets[old]:
+                    del buckets[old]
+            if i not in kept and i in live and i in a[i]:
+                cost[i] = key = (len(cols[i]) - 1) * (len(a[i]) - 1)
+                buckets.setdefault(key, set()).add(i)
+
+        for i in live:
+            place(i)
+        while True:
+            if buckets:
+                r = c = next(iter(buckets[min(buckets)]))
+            else:
+                block = (
+                    (i, j) for i in live if i not in kept for j in a[i] if j not in kept
+                )
+                r, c = next(block, (None, None))
+                if r is None:
+                    return
+            k = len(piv)
+            tau[r] = c
+            live.discard(r)
+            prow = a[r]
+            if level[r] != k - 1:
+                prow = {j: x * piv[k - 1] // piv[level[r]] for j, x in prow.items()}
+            piv.append(p := prow.pop(c))
+            for j in prow:
+                cols[j].discard(r)
+            touched = cols[c] - {r}
+            for i in touched:
+                row = a[i]
+                x = row.pop(c)
+                for j in prow.keys() - row.keys():
+                    cols[j].add(i)
+                d = piv[level[i]]
+                new = {j: y * p // d for j, y in row.items() if j not in prow}
+                size = len(new) + len(prow)
+                new.update(
+                    {j: v for j, y in prow.items() if (v := (row.get(j, 0) * p - x * y) // d)}
+                )
+                a[i], level[i] = new, k
+                if len(new) < size:  # entries cancelled
+                    for j in prow.keys() - new.keys():
+                        cols[j].discard(i)
+            for i in (r, *touched, *prow):
+                place(i)
+
+    def remaining(self) -> dict[int, dict[int, int]]:
+        """The live rows brought up to the last step: p_m times the Schur
+        complement of the pivoted block, entry by entry."""
+        a, level, piv = self.a, self.level, self.piv
+        m = len(piv) - 1
+        return {
+            i: a[i] if level[i] == m else {j: x * piv[m] // piv[level[i]] for j, x in a[i].items()}
+            for i in self.live
+        }
+
+
+def _sign(tau: dict[int, int]) -> int:
+    """The sign of a permutation given as a dict, sorted in place by swaps."""
+    sign = 1
+    for i in tau:
+        while tau[i] != i:
+            j = tau[i]
+            tau[i], tau[j] = tau[j], j
+            sign = -sign
+    return sign
 
 
 def bareiss(rows) -> tuple[int, int]:
     """The leading (n-1) x (n-1) principal minor and the determinant of a
     square integer matrix, from one elimination; (1, 1) for the 0x0 case.
 
-    Rows are sequences or sparse {column: value} dicts.  Fraction-free
-    (Bareiss) elimination: step k pivots on p_k = a_rc and rewrites the
-    other rows as a_ij <- (p_k a_ij - a_ic a_rj) / p_(k-1), with p_0 = 1.
-    Each value is a minor of the matrix (Sylvester's identity), so each
-    division is exact.  Rows are scaled lazily: a row without an entry in
-    column c is only multiplied by p_k / p_(k-1), so a row last rewritten
-    at step m holds exactly p_m / p_(k-1) times its step-(k-1) values and
-    is rewritten as a_ij <- (p_k a_ij - a_ic a'_rj) / p_m, with a' the
-    pivot row brought up to step k - 1.  Entries that cancel are dropped.
-
-    The last row and column stay last.  Pivots are diagonal entries of
-    the active leading block in Markowitz order, least (r - 1)(c - 1) for
-    r entries in the column and c in the row, kept in buckets by cost.
-    When that diagonal is all 0, any nonzero entry of the block is the
-    pivot, and both results take the sign of tau: r_k -> c_k.  When the
-    whole block is 0 first, its rank is short and its minor 0; the last
-    row and column then give pivots too, and a step without a nonzero
-    entry means the determinant is 0.
+    Rows are sequences or sparse {column: value} dicts.  The elimination
+    (``_Elimination``) first pivots in the leading block, keeping the
+    last row and column last: after n - 1 pivots the last pivot taken is
+    the minor, up to the sign of tau: r_k -> c_k.  When the leading block
+    runs out of nonzero entries first, its rank is short and its minor
+    0; the last row and column then give pivots too, and a step without
+    a nonzero entry means the determinant is 0.
     """
     n = len(rows)
-    last = n - 1
-    a: list[dict[int, int]] = []
-    cols = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            row = dict(enumerate(row))
-        elif not all(0 <= j < n for j in row):
-            raise ValueError("matrix must be square")
-        a.append({j: x for j, x in row.items() if x})
-        for j in a[i]:
-            cols[j].add(i)
-    live = set(range(n))
-    level = [0] * n  # row i holds its values after step level[i]
-    piv = [1]
-    tau: dict[int, int] = {}  # pivot row -> pivot column
-    cost: dict[int, int] = {}  # diagonal candidate -> its Markowitz cost
-    buckets: dict[int, set[int]] = {}  # cost -> the candidates at that cost
-
-    def place(i: int) -> None:
-        old = cost.pop(i, None)
-        if old is not None:
-            buckets[old].discard(i)
-            if not buckets[old]:
-                del buckets[old]
-        if i != last and i in live and i in a[i]:
-            cost[i] = key = (len(cols[i]) - 1) * (len(a[i]) - 1)
-            buckets.setdefault(key, set()).add(i)
-
-    for i in range(last):
-        place(i)
-    zero = False  # the active leading block ran out: the minor is 0
-    for k in range(1, n + 1):
-        if k < n and not zero and buckets:
-            r = c = next(iter(buckets[min(buckets)]))
-        else:
-            entries = [(i, j) for i in live for j in a[i]]
-            block = [(i, j) for i, j in entries if last not in (i, j)]
-            zero = zero or (k < n and not block)
-            if not entries:
-                break
-            r, c = (entries if zero or k == n else block)[0]
-        tau[r] = c
-        live.discard(r)
-        prow = a[r]
-        if level[r] != k - 1:
-            prow = {j: x * piv[k - 1] // piv[level[r]] for j, x in prow.items()}
-        piv.append(p := prow.pop(c))
-        for j in prow:
-            cols[j].discard(r)
-        touched = cols[c] - {r}
-        for i in touched:
-            row = a[i]
-            x = row.pop(c)
-            for j in prow.keys() - row.keys():
-                cols[j].add(i)
-            d = piv[level[i]]
-            new = {j: y * p // d for j, y in row.items() if j not in prow}
-            size = len(new) + len(prow)
-            new.update({j: v for j, y in prow.items() if (v := (row.get(j, 0) * p - x * y) // d)})
-            a[i], level[i] = new, k
-            if len(new) < size:  # entries cancelled
-                for j in prow.keys() - new.keys():
-                    cols[j].discard(i)
-        for i in (r, *touched, *prow):
-            place(i)
-    if zero and len(piv) <= n:
-        return 0, 0
-    sign = 1
-    for i in tau:  # tau is a permutation here; sort it by swaps
-        while tau[i] != i:
-            j = tau[i]
-            tau[i], tau[j] = tau[j], j
-            sign = -sign
-    return 0 if zero else sign * piv[last], sign * piv[n] if len(piv) > n else 0
+    e = _Elimination(rows)
+    e.run({n - 1})
+    minor = e.piv[-1] if len(e.piv) >= n else 0
+    e.run(set())
+    det = e.piv[n] if len(e.piv) > n else 0
+    sign = _sign(e.tau) if minor or det else 1
+    return sign * minor, sign * det
 
 
 def det_bareiss(rows) -> int:
@@ -337,56 +384,138 @@ def det_bareiss(rows) -> int:
     return bareiss(rows)[1]
 
 
-def count_by_determinant(g: DirectedMultigraph, root: str) -> int:
+def count_by_determinant(g: DirectedMultigraph, root: str, unit: bool = False) -> int:
     """N(g, root) as the leading minor of the Laplacian with the root
     moved last, the reduced-Laplacian determinant; by the matrix-tree
     identity it equals the enumeration count for any integer weights.
-    Does not require connectivity (a disconnected graph counts 0)."""
+    With unit, every edge weighs 1: the number of trees.  Does not
+    require connectivity (a disconnected graph counts 0)."""
     if not g.has_vertex(root):
         raise ValueError(f"unknown root {root!r}")
-    return bareiss(_transposed_laplacian(g, g.vertices.index(root)))[0]
+    order = [v for v in g.vertices if v != root] + [root]
+    pos = {v: i for i, v in enumerate(order)}
+    return bareiss(_transposed_laplacian(g, pos, unit))[0]
 
 
-def root_free_count(g: DirectedMultigraph) -> int:
-    """The root-independent N of a balanced graph, from one elimination.
+def root_free_counts(graphs: Sequence[DirectedMultigraph]) -> list[int]:
+    """The root-independent N of each balanced graph, certified, from one
+    elimination of the block the graphs share.
 
     Every column of the Laplacian L sums to zero, so det L = 0 and the
     (i, j) cofactor C_ij does not depend on i: C_ij = C_jj = N(j), the
-    count rooted at vertex j.  Let e_0 be the first unit vector and 1
-    the all-ones vector.  By the matrix determinant lemma,
+    count rooted at vertex j.  Let e_z be the unit vector of a vertex z
+    and 1 the all-ones vector.  By the matrix determinant lemma,
 
-        det(L + e_0 1^T) = det L + 1^T adj(L) e_0 = sum_j C_0j
+        det(L + e_z 1^T) = det L + 1^T adj(L) e_z = sum_j C_zj
                          = N(0) + N(1) + ... + N(n - 1).
 
-    Its transpose L^T + 1 e_0^T, which adds 1 to column 0, has the same
-    determinant, and moving vertex 0 last makes its leading (n-1) block
-    the transposed reduced Laplacian at vertex 0.  So one ``bareiss``
-    gives N(0) as the minor and the sum as the determinant, and the dense
-    border is a column, eliminated last.  Balance adds zero row sums,
-    which make every N(j) equal, so the sum is n * N.  Without balance
-    the equation says that N(0) is the mean of the n root counts, which
-    is not automatic: for a -> b, b -> c, a -> c the sum is 2 against
+    Its transpose L^T + 1 e_z^T, which adds 1 to column z, has the same
+    determinant, and moving z last makes its leading (n-1) block the
+    transposed reduced Laplacian at z.  So one elimination gives N(z) as
+    the minor and the sum as the determinant, and the dense border is a
+    column, eliminated last.  Balance adds zero row sums, which make
+    every N(j) equal, so the sum is n * N.  Without balance the equation
+    says that N(z) is the mean of the n root counts, which is not
+    automatic: for a -> b, b -> c, a -> c the sum is 2 against
     n * N(r) = 6, 0, 0 over the roots.  A wrong minor or a wrong
     determinant breaks the equation too.  A mismatch raises
     IdentityViolation.
 
+    The kept vertices are the endpoints of every edge not in all graphs
+    and every vertex not in all graphs.  z is the first vertex that is
+    in all graphs and kept, or else the first vertex in all graphs, then
+    kept too; with no vertex in all graphs, each graph's own first
+    vertex.  The rows and columns of the other, shared vertices are the
+    same in every bordered matrix, so they are eliminated once, over the
+    shared block only; a lone graph shares nothing and is eliminated
+    whole, with z its first vertex.  Shared rows left when that block
+    has no nonzero entry join the kept ones.  After m pivots the live
+    rows hold p_m times the Schur complement, zero on the kept block, so
+    each graph adds p_m times its own kept entries and finishes in one
+    ``bareiss`` of those few rows.  By Sylvester's identity that
+    determinant is p_m^(k-1) times the whole one for k rows, and the
+    minor p_m^(k-2) times the whole minor; both divisions must be exact.
+
     Connectivity is not required: a disconnected balanced graph has
     every cofactor 0, so both sides are 0 and it counts 0.
     """
+    for g in graphs:
+        if not is_balanced(g):
+            raise ValueError("graph is not balanced")
+    first, *rest = graphs
+    z, shared = None, []
+    if rest:
+        common = set(first.vertices).intersection(*(g.vertices for g in rest))
+        alike = set(first.edges).intersection(*(g.edges for g in rest))
+        kept = {v for g in graphs for e in g.edges if e not in alike for v in e[1:3]}
+        kept.update(v for g in graphs for v in g.vertices if v not in common)
+        z = min(common & kept or common, default=None)
+        shared = sorted(common - kept - {z})
+    s = len(shared)
+    everyone = {v for g in graphs for v in g.vertices}
+    pos = {v: i for i, v in enumerate(shared + sorted(everyone.difference(shared)))}
+    bordered = []
+    for g in graphs:
+        rows = _transposed_laplacian(g, pos)
+        last = g.vertices[0] if z is None else z
+        zi = pos[last]
+        for i in map(pos.get, g.vertices):
+            rows[i][zi] = rows[i].get(zi, 0) + 1
+        bordered.append((g, last, rows))
+    p, live, tau = 1, {}, {}
+    if shared:
+        # the shared rows in full, and the kept rows' shared columns
+        e = _Elimination(
+            [row if i < s else {j: x for j, x in row.items() if j < s}
+             for i, row in enumerate(bordered[0][2])]
+        )
+        e.run(range(s, len(pos)))
+        p, live, tau = e.piv[-1], e.remaining(), e.tau
+    pivot_cols = set(tau.values())
+    counts = []
+    for g, last, rows in bordered:
+        mine = sorted(map(pos.get, g.vertices))
+        mine.append(mine.pop(mine.index(pos[last])))
+        order = [i for i in mine if i not in tau]
+        where = {j: t for t, j in enumerate(j for j in mine if j not in pivot_cols)}
+        finish = []
+        for i in order:
+            row = {where[j]: x for j, x in live.get(i, {}).items()}
+            if i >= s:
+                own = {where[j]: p * x for j, x in rows[i].items() if j >= s}
+                if row:
+                    own = {j: row.get(j, 0) + own.get(j, 0) for j in row.keys() | own.keys()}
+                row = own
+            finish.append(row)
+        minor, det = bareiss(finish)
+        sign = _sign({**tau, **dict(zip(order, where))})
+        scale = p ** (len(finish) - 1)
+        count, low = divmod(sign * minor * p, scale)
+        total, off = divmod(sign * det, scale)
+        n = len(g.vertices)
+        if low or off or total != n * count:
+            raise IdentityViolation(
+                "root-dependent counts on a balanced graph: "
+                f"N({last})={count} but the sum over roots is "
+                f"{total} != {n}*N"
+            )
+        counts.append(count)
+    return counts
+
+
+def root_free_count(g: DirectedMultigraph) -> int:
+    """The root-independent N of a balanced graph, from one elimination:
+    ``root_free_counts`` of g alone, N(0) certified by the sum of all n
+    root counts."""
+    return root_free_counts([g])[0]
+
+
+def require_balanced_connected(g: DirectedMultigraph) -> None:
+    """Refuse an unbalanced graph, then a disconnected one."""
     if not is_balanced(g):
         raise ValueError("graph is not balanced")
-    n = len(g.vertices)
-    rows = _transposed_laplacian(g, 0)
-    for row in rows:
-        row[n - 1] = row.get(n - 1, 0) + 1
-    count, total = bareiss(rows)
-    if total != n * count:
-        raise IdentityViolation(
-            "root-dependent counts on a balanced graph: "
-            f"N({g.vertices[0]})={count} but the sum over roots is "
-            f"{total} != {n}*N"
-        )
-    return count
+    if not is_connected(g):
+        raise ValueError("graph is not connected")
 
 
 def balanced_count(g: DirectedMultigraph) -> int:
@@ -396,8 +525,5 @@ def balanced_count(g: DirectedMultigraph) -> int:
     the certified ``root_free_count``: N(0) checked against the sum of
     all n root counts, both from one elimination whatever the size.
     """
-    if not is_balanced(g):
-        raise ValueError("graph is not balanced")
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
+    require_balanced_connected(g)
     return root_free_count(g)

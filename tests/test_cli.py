@@ -14,7 +14,14 @@ import pytest
 
 from moytree import cli, kauffman, spanning
 from moytree.cli import main
-from moytree.generate import grow_map, random_plane_map, seed_cycle, seed_prism, seed_theta
+from moytree.generate import (
+    grow_map,
+    random_balanced_graph,
+    random_plane_map,
+    seed_cycle,
+    seed_prism,
+    seed_theta,
+)
 from moytree.graph import DirectedMultigraph, Edge
 from moytree.graphfile import document_text, map_text
 from moytree.planar import HEAD, TAIL, CombinatorialMap, Dart, decorate
@@ -439,6 +446,44 @@ def test_validate_unbalanced_graph(capsys, unbalanced_file):
     assert lines[-1] == "result=fail"
 
 
+@pytest.mark.parametrize(
+    "records, balance, strong",
+    [
+        ([("ab", "a", "b", 0), ("ba", "b", "a", 0)], "ok", "ok"),
+        ([("ab", "a", "b", 0)], "ok", "fail"),
+        ([("ab", "a", "b", 2), ("ba", "b", "a", 1)], "fail", "ok"),
+        ([("ab", "a", "b", 1)], "fail", "fail"),
+    ],
+)
+def test_validate_searches_strong_connectivity_when_the_premise_fails(
+    capsys, tmp_path, monkeypatch, records, balance, strong
+):
+    # a zero weight or a lopsided vertex voids "positive, balanced and
+    # connected implies strongly connected", so the searches decide
+    g = DirectedMultigraph(["a", "b"], [Edge(*r) for r in records])
+    path = tmp_path / "premise.json"
+    path.write_text(document_text(g), encoding="utf-8")
+    code, out, _ = run(capsys, ["validate", str(path)])
+    assert code == 1
+    positive = "ok" if all(r[3] >= 1 for r in records) else "fail"
+    assert out.splitlines()[:4] == [
+        f"positive-weights={positive}",
+        f"balance={balance}",
+        "connectivity=ok",
+        f"strong-connectivity={strong}",
+    ]
+
+
+def test_validate_takes_strong_connectivity_from_the_premise(capsys, lens_file, monkeypatch):
+    def refuse(g):
+        raise AssertionError("searched a positive, balanced, connected graph")
+
+    monkeypatch.setattr(cli, "is_strongly_connected", refuse)
+    code, out, _ = run(capsys, ["validate", lens_file])
+    assert code == 0
+    assert "strong-connectivity=ok" in out.splitlines()
+
+
 def test_validate_unbalanced_map_with_basepoint(capsys, tmp_path, lens_map):
     # the map checks pass, yet an unbalanced graph gets no basepoint line
     doc = json.loads(map_text(lens_map, basepoint="e23"))
@@ -561,6 +606,29 @@ def test_subdivide_check_golden(capsys, lens_file):
     code, out, _ = run(capsys, ["subdivide-check", lens_file, "--edge", "e23"])
     assert code == 0
     assert out == "n=20\nn_subdivided=60\nedge_weight=3\nok=true\n"
+
+
+def test_skein_and_subdivide_check_exit_1_on_a_corrupted_shared_state(
+    capsys, tmp_path, monkeypatch
+):
+    g = random_balanced_graph(random.Random(46), min_vertices=6, max_vertices=6)
+    path = tmp_path / "six.json"
+    path.write_text(document_text(g), encoding="utf-8")
+    real = spanning._Elimination.remaining
+
+    def off_by_one(self):
+        live = real(self)
+        row = next(row for row in live.values() if row)
+        row[next(iter(row))] += 1
+        return live
+
+    monkeypatch.setattr(spanning._Elimination, "remaining", off_by_one)
+    ei, ej = g.edges[0].id, g.edges[1].id
+    for argv in (["skein", str(path), "--edge-i", ei, "--edge-j", ej],
+                 ["subdivide-check", str(path), "--edge", ei]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("identity violated: root-dependent counts on a balanced graph")
 
 
 # -- guards, files, and the selftest ---------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from moytree.generate import random_balanced_graph
 from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
 from moytree.skein import resolve_G1, resolve_G2, verify_skein_t1
-from moytree.spanning import count_by_determinant
+from moytree import spanning
+from moytree.spanning import count_by_determinant, root_free_count
 
 
 def host(i: int, j: int) -> tuple[DirectedMultigraph, tuple[str, str]]:
@@ -181,3 +182,56 @@ def test_resolved_counts_are_root_independent():
     g1 = resolve_G1(g, *pattern)
     counts = {count_by_determinant(g1, r) for r in g1.vertices}
     assert len(counts) == 1
+
+
+# -- one shared elimination ---------------------------------------------------
+
+
+def dense_balanced(rng: random.Random, n: int) -> DirectedMultigraph:
+    """A cycle through all n vertices plus n closed walks of 2-6 vertices,
+    each at one weight in 1..5."""
+    vertices = [f"v{i}" for i in range(n)]
+    edges = []
+
+    def walk(vs, weight):
+        for tail, head in zip(vs, vs[1:] + vs[:1]):
+            edges.append(Edge(f"e{len(edges)}", tail, head, weight))
+
+    base = vertices[:]
+    rng.shuffle(base)
+    walk(base, rng.randint(1, 5))
+    for k in range(n):
+        vs = [rng.choice(vertices)]
+        while len(vs) < 2 + k % 5:
+            step = rng.choice(vertices)
+            if step != vs[-1]:
+                vs.append(step)
+        if vs[-1] == vs[0]:
+            vs.pop()
+        if len(vs) >= 2:
+            walk(vs, rng.randint(1, 5))
+    return DirectedMultigraph(vertices, edges)
+
+
+def test_skein_eliminates_the_shared_block_once(monkeypatch):
+    g = dense_balanced(random.Random(47), 60)
+    ei, ej = g.edges[3].id, g.edges[100].id
+    resolved = [g, resolve_G1(g, ei, ej), resolve_G2(g, ei, ej)]
+    alone = [root_free_count(h) for h in resolved]
+    pivots = []
+    real = spanning._Elimination.run
+
+    def counted(self, kept):
+        before = len(self.piv)
+        real(self, kept)
+        pivots.append(len(self.piv) - before)
+
+    monkeypatch.setattr(spanning._Elimination, "run", counted)
+    check = verify_skein_t1(g, ei, ej)
+    assert check.holds and list(check[1:4]) == alone
+    # one run over the shared block, then two runs (leading block, last
+    # row) of each of three finishes on at most 7 rows; three separate
+    # counts take about 3n
+    assert len(pivots) == 7
+    assert max(pivots[1:]) <= 7
+    assert sum(pivots) <= len(g.vertices) + 21

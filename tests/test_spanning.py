@@ -8,8 +8,8 @@ import pytest
 
 from moytree import spanning
 from moytree.generate import random_balanced_graph, random_connected_digraph, seed_cycle
-from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected
-from moytree.skein import resolve_G1
+from moytree.graph import DirectedMultigraph, Edge, is_balanced, is_connected, subdivide_edge
+from moytree.skein import resolve_G1, resolve_G2
 from moytree.spanning import (
     EnumerationLimitError,
     IdentityViolation,
@@ -22,6 +22,7 @@ from moytree.spanning import (
     enumerate_trees,
     laplacian,
     root_free_count,
+    root_free_counts,
     tree_weight,
 )
 from oracles import (
@@ -540,3 +541,166 @@ def test_unbalanced_counts_can_depend_on_the_root(make_graph):
     )
     counts = {r: count_by_determinant(g, r) for r in g.vertices}
     assert len(set(counts.values())) > 1
+
+
+# -- several graphs from one shared elimination ---------------------------------
+
+
+def _shifted(g: DirectedMultigraph, by: int) -> DirectedMultigraph:
+    # every vertex of a union of closed walks has as many in- as out-edges,
+    # so moving every weight by one constant keeps the balance
+    return DirectedMultigraph(g.vertices, [e._replace(weight=e.weight - by) for e in g.edges])
+
+
+def _alone(graphs) -> list[int]:
+    return [root_free_count(g) for g in graphs]
+
+
+def _shared_pivots(monkeypatch) -> list[tuple[int, bool]]:
+    """Records, for each shared elimination, its pivot count and whether
+    any pivot was off the diagonal."""
+    seen = []
+    real = spanning._Elimination.remaining
+
+    def remaining(self):
+        seen.append((len(self.piv) - 1, any(r != c for r, c in self.tau.items())))
+        return real(self)
+
+    monkeypatch.setattr(spanning._Elimination, "remaining", remaining)
+    return seen
+
+
+def test_shared_counts_equal_separate_counts_with_singular_shared_blocks(monkeypatch):
+    seen = _shared_pivots(monkeypatch)
+    rng = random.Random(41)
+    short = off_diagonal = 0
+    for k in range(300):
+        g = random_balanced_graph(rng, min_vertices=4, max_vertices=7, max_weight=5)
+        if k % 2:
+            g = _shifted(g, rng.randint(1, 4))  # zero and negative weights
+        pattern = [e.id for e in g.edges if e.weight > 0]
+        cases = [(subdivide_edge(g, rng.choice(g.edges).id),)]
+        if len(pattern) >= 2:
+            ei, ej = rng.sample(pattern, 2)
+            cases.append((resolve_G1(g, ei, ej), resolve_G2(g, ei, ej)))
+        for others in cases:
+            touched = {v for e in g.edges if not all(e in h.edges for h in others)
+                       for v in (e.tail, e.head)}
+            seen.clear()
+            assert root_free_counts([g, *others]) == _alone([g, *others])
+            if seen:
+                pivots, skew = seen[0]
+                short += pivots < len(g.vertices) - len(touched)
+                off_diagonal += skew
+    # the shared block ran out early, and pivoted off its diagonal, often
+    assert short > 20 and off_diagonal > 2
+
+
+def test_shared_counts_when_equal_weights_disconnect_the_smoothing():
+    host = DirectedMultigraph(
+        ["a", "b", "c"],
+        [
+            Edge("ab", "a", "b", 2),
+            Edge("ba", "b", "a", 2),
+            Edge("bc", "b", "c", 1),
+            Edge("cb", "c", "b", 1),
+        ],
+    )
+    g1 = resolve_G1(host, "ab", "ba")
+    assert not is_connected(g1)
+    graphs = [host, g1, resolve_G2(host, "ab", "ba")]
+    assert root_free_counts(graphs) == _alone(graphs) == [2, 0, 16]
+
+
+def test_shared_counts_on_a_two_vertex_host_keep_every_vertex(monkeypatch):
+    seen = _shared_pivots(monkeypatch)
+    host = DirectedMultigraph(["a", "b"], [Edge("ab", "a", "b", 3), Edge("ba", "b", "a", 3)])
+    graphs = [host, resolve_G1(host, "ab", "ba"), resolve_G2(host, "ab", "ba")]
+    assert root_free_counts(graphs) == _alone(graphs) == [3, 0, 54]
+    assert seen == []  # nothing is shared, so nothing is eliminated once
+
+
+def test_shared_counts_with_a_pattern_at_vertex_zero_and_away_from_it():
+    rng = random.Random(43)
+    g = random_balanced_graph(rng, min_vertices=7, max_vertices=7)
+    first = g.vertices[0]
+    at_zero = [e.id for e in g.edges if first in (e.tail, e.head)]
+    away = [e.id for e in g.edges if first not in (e.tail, e.head)]
+    assert at_zero and len(away) >= 2
+    for ei, ej in ((at_zero[0], away[0]), (away[0], away[1])):
+        graphs = [g, resolve_G1(g, ei, ej), resolve_G2(g, ei, ej)]
+        assert root_free_counts(graphs) == _alone(graphs)
+    for eid in (at_zero[0], away[0]):
+        graphs = [g, subdivide_edge(g, eid)]
+        assert root_free_counts(graphs) == _alone(graphs)
+
+
+def test_shared_counts_of_unrelated_graphs():
+    rng = random.Random(44)
+    for _ in range(30):
+        graphs = [random_balanced_graph(rng, min_vertices=2, max_vertices=6) for _ in range(3)]
+        # one graph renamed apart shares no vertex with the others
+        graphs.append(
+            DirectedMultigraph(
+                [f"u{v}" for v in graphs[0].vertices],
+                [e._replace(tail=f"u{e.tail}", head=f"u{e.head}") for e in graphs[0].edges],
+            )
+        )
+        assert root_free_counts(graphs) == _alone(graphs)
+        assert root_free_counts(graphs[3:] + graphs[:1]) == _alone(graphs[3:] + graphs[:1])
+    g = graphs[1]
+    assert root_free_counts([g, g]) == _alone([g, g])
+
+
+def test_shared_counts_refuse_any_unbalanced_graph(make_graph):
+    g = random_balanced_graph(random.Random(45), min_vertices=4)
+    lopsided = make_graph(["a", "b"], [("e", "a", "b", 1)])
+    with pytest.raises(ValueError, match="not balanced"):
+        root_free_counts([g, lopsided])
+
+
+def test_a_corrupted_shared_state_is_an_identity_violation(monkeypatch):
+    g = random_balanced_graph(random.Random(46), min_vertices=6, max_vertices=6)
+    ei, ej = g.edges[0].id, g.edges[1].id
+    graphs = [g, resolve_G1(g, ei, ej), resolve_G2(g, ei, ej)]
+    real = spanning._Elimination.remaining
+
+    def off_by_one(self):
+        live = real(self)
+        row = next(row for row in live.values() if row)
+        j = next(iter(row))
+        row[j] += 1
+        return live
+
+    monkeypatch.setattr(spanning._Elimination, "remaining", off_by_one)
+    with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
+        root_free_counts(graphs)
+    with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
+        root_free_counts([g, subdivide_edge(g, ei)])
+
+
+@pytest.mark.parametrize("corrupted", [0, 1])
+def test_a_finish_off_by_one_is_an_identity_violation(monkeypatch, corrupted):
+    # the finish's minor and determinant are p^(k-2) and p^(k-1) times the
+    # whole ones; off by one, they leave a remainder, not a wrong count
+    g = random_balanced_graph(random.Random(46), min_vertices=6, max_vertices=6)
+    graphs = [g, subdivide_edge(g, g.edges[0].id)]
+    real = spanning.bareiss
+    scales = []
+
+    def off_by_one(rows):
+        pair = list(real(rows))
+        pair[corrupted] += 1
+        return tuple(pair)
+
+    real_remaining = spanning._Elimination.remaining
+
+    def remaining(self):
+        scales.append(self.piv[-1])
+        return real_remaining(self)
+
+    monkeypatch.setattr(spanning, "bareiss", off_by_one)
+    monkeypatch.setattr(spanning._Elimination, "remaining", remaining)
+    with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
+        root_free_counts(graphs)
+    assert abs(scales[0]) > 1
