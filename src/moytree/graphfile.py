@@ -21,7 +21,7 @@ import json
 from typing import NamedTuple
 
 from .graph import DirectedMultigraph, Edge
-from .planar import HEAD, TAIL, CombinatorialMap, Dart, dart_of
+from .planar import HEAD, TAIL, CombinatorialMap, Dart
 
 TOP_FIELDS = ("vertices", "edges", "rotation", "basepoint")
 EDGE_FIELDS = frozenset(("id", "tail", "head", "weight"))
@@ -38,17 +38,6 @@ class GraphDocument(NamedTuple):
     graph: DirectedMultigraph
     dart_numbers: dict[str, tuple[int, ...]] | None
     basepoint: str | None
-
-    @property
-    def rotation(self) -> dict[str, tuple[Dart, ...]] | None:
-        """The rotation with ``Dart``s, built on each access."""
-        if self.dart_numbers is None:
-            return None
-        edges = self.graph.edges
-        return {
-            v: tuple(dart_of(edges, d) for d in darts)
-            for v, darts in self.dart_numbers.items()
-        }
 
 
 def parse_document(text: str) -> GraphDocument:

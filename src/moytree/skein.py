@@ -19,8 +19,8 @@ satisfy
 
 verified in exact rational arithmetic.  The three graphs differ only at
 a, b, c, d, v1 and v2, so ``spanning.root_free_counts`` eliminates the
-rest once and finishes each graph on its at most 6 kept rows (more only
-when the shared block is singular).  Each count is certified: its minor
+rest once, and each graph continues that elimination on its at most 6
+kept rows (more only when the shared block is singular).  Each count is certified: its minor
 N is checked against a determinant that sums the counts over all roots.
 G1 with i = j can disconnect the graph; its count is then 0 (all
 cofactors vanish, and so does the sum), which the identity absorbs, so

@@ -8,18 +8,17 @@ trees of the product of edge weights.
 Two independent backends compute N: direct backtracking enumeration and
 the reduced-Laplacian determinant (delete row and column of the root).
 Every determinant is one sparse fraction-free elimination over Python
-ints (``_Elimination``, run by ``bareiss``), exact for any integer
-weights, including zero and negative ones; it pivots on the diagonal in
-Markowitz order and rescales untouched rows lazily, so a sparse
-Laplacian stays sparse.  For balanced graphs every row and column of the
-Laplacian sums to zero, hence all cofactors agree and N is independent
-of the root.  The root-free count therefore takes one elimination, of
-the transposed Laplacian bordered with 1 in the column of vertex 0,
-moved last: its determinant is the sum of all n root counts, n * N, and
-its leading minor is N itself.  ``root_free_counts`` certifies several
-graphs that differ at a few vertices, as the local relations compare
-them, with one elimination of the block they share and a small finish
-per graph.
+ints (``_Elimination``), exact for any integer weights, including zero
+and negative ones; it pivots on the diagonal in Markowitz order and
+rescales untouched rows lazily, so a sparse Laplacian stays sparse.  For
+balanced graphs every row and column of the Laplacian sums to zero,
+hence all cofactors agree and N is independent of the root.  The
+root-free count therefore takes one elimination, of the transposed
+Laplacian bordered with 1 in the column of vertex 0: its determinant is
+the sum of all n root counts, n * N, and its minor without vertex 0 is N
+itself.  ``root_free_counts`` certifies several graphs that differ at a
+few vertices, as the local relations compare them, with one elimination
+of the block they share, which each graph continues on its own rows.
 """
 
 from __future__ import annotations
@@ -334,48 +333,64 @@ class _Elimination:
             for i in (r, *touched, *prow):
                 place(i)
 
-    def remaining(self) -> dict[int, dict[int, int]]:
-        """The live rows brought up to the last step: p_m times the Schur
-        complement of the pivoted block, entry by entry."""
-        a, level, piv = self.a, self.level, self.piv
-        m = len(piv) - 1
-        return {
-            i: a[i] if level[i] == m else {j: x * piv[m] // piv[level[i]] for j, x in a[i].items()}
-            for i in self.live
-        }
+    def add(self, i: int, row: dict[int, int]) -> None:
+        """Add matrix entries outside the pivoted columns to live row i.  It
+        holds p_l times its Schur complement, l its level, and that is
+        linear in them, so each goes in times p_l."""
+        a, cols, p = self.a[i], self.cols, self.piv[self.level[i]]
+        for j, x in row.items():
+            if v := a.get(j, 0) + p * x:
+                a[j] = v
+                cols[j].add(i)
+            else:
+                a.pop(j, None)
+                cols[j].discard(i)
+
+    def fork(self) -> _Elimination:
+        """A copy to go on pivoting without changing this one.  A pivoted
+        row is never written again, so only the live rows are copied."""
+        f = object.__new__(_Elimination)
+        f.a = self.a[:]
+        for i in self.live:
+            f.a[i] = self.a[i].copy()
+        f.cols = [c.copy() for c in self.cols]
+        f.live, f.level = self.live.copy(), self.level[:]
+        f.piv, f.tau = self.piv[:], self.tau.copy()
+        return f
+
+    def minor_and_det(self, last: int, n: int) -> tuple[int, int]:
+        """The minor without row and column last, and the determinant, of
+        the n x n matrix in the nonzero rows: pivot outside last, then on
+        it.  Short of n - 1 and of n pivots, each is 0; else each is its
+        last pivot up to the sign of tau: r_k -> c_k."""
+        self.run({last})
+        minor = self.piv[-1] if len(self.piv) >= n else 0
+        self.run(set())
+        det = self.piv[n] if len(self.piv) > n else 0
+        sign = _sign(self.tau) if minor or det else 1
+        return sign * minor, sign * det
 
 
 def _sign(tau: dict[int, int]) -> int:
-    """The sign of a permutation given as a dict, sorted in place by swaps."""
-    sign = 1
+    """The sign of a permutation given as a dict, a cycle of length L
+    giving (-1)^(L-1).  Each entry is visited once, so a dict that is not
+    a permutation cannot make it loop."""
+    sign, seen = 1, set()
     for i in tau:
-        while tau[i] != i:
-            j = tau[i]
-            tau[i], tau[j] = tau[j], j
+        if i not in seen:
             sign = -sign
+            while i not in seen:
+                seen.add(i)
+                i = tau[i]
+                sign = -sign
     return sign
 
 
 def bareiss(rows) -> tuple[int, int]:
     """The leading (n-1) x (n-1) principal minor and the determinant of a
-    square integer matrix, from one elimination; (1, 1) for the 0x0 case.
-
-    Rows are sequences or sparse {column: value} dicts.  The elimination
-    (``_Elimination``) first pivots in the leading block, keeping the
-    last row and column last: after n - 1 pivots the last pivot taken is
-    the minor, up to the sign of tau: r_k -> c_k.  When the leading block
-    runs out of nonzero entries first, its rank is short and its minor
-    0; the last row and column then give pivots too, and a step without
-    a nonzero entry means the determinant is 0.
-    """
-    n = len(rows)
-    e = _Elimination(rows)
-    e.run({n - 1})
-    minor = e.piv[-1] if len(e.piv) >= n else 0
-    e.run(set())
-    det = e.piv[n] if len(e.piv) > n else 0
-    sign = _sign(e.tau) if minor or det else 1
-    return sign * minor, sign * det
+    square integer matrix, rows as sequences or sparse {column: value}
+    dicts, from one ``_Elimination``; (1, 1) for the 0x0 case."""
+    return _Elimination(rows).minor_and_det(len(rows) - 1, len(rows))
 
 
 def det_bareiss(rows) -> int:
@@ -410,16 +425,15 @@ def root_free_counts(graphs: Sequence[DirectedMultigraph]) -> list[int]:
                          = N(0) + N(1) + ... + N(n - 1).
 
     Its transpose L^T + 1 e_z^T, which adds 1 to column z, has the same
-    determinant, and moving z last makes its leading (n-1) block the
-    transposed reduced Laplacian at z.  So one elimination gives N(z) as
-    the minor and the sum as the determinant, and the dense border is a
-    column, eliminated last.  Balance adds zero row sums, which make
-    every N(j) equal, so the sum is n * N.  Without balance the equation
-    says that N(z) is the mean of the n root counts, which is not
-    automatic: for a -> b, b -> c, a -> c the sum is 2 against
-    n * N(r) = 6, 0, 0 over the roots.  A wrong minor or a wrong
-    determinant breaks the equation too.  A mismatch raises
-    IdentityViolation.
+    determinant, and without row and column z it is the transposed
+    reduced Laplacian at z.  So one elimination gives N(z) as that minor
+    and the sum as the determinant, and the dense border is a column,
+    eliminated last.  Balance adds zero row sums, which make every N(j)
+    equal, so the sum is n * N.  Without balance the equation says that
+    N(z) is the mean of the n root counts, which is not automatic: for
+    a -> b, b -> c, a -> c the sum is 2 against n * N(r) = 6, 0, 0 over
+    the roots.  A wrong minor or a wrong determinant breaks the equation
+    too.  A mismatch raises IdentityViolation.
 
     The kept vertices are the endpoints of every edge not in all graphs
     and every vertex not in all graphs.  z is the first vertex that is
@@ -427,14 +441,11 @@ def root_free_counts(graphs: Sequence[DirectedMultigraph]) -> list[int]:
     kept too; with no vertex in all graphs, each graph's own first
     vertex.  The rows and columns of the other, shared vertices are the
     same in every bordered matrix, so they are eliminated once, over the
-    shared block only; a lone graph shares nothing and is eliminated
-    whole, with z its first vertex.  Shared rows left when that block
-    has no nonzero entry join the kept ones.  After m pivots the live
-    rows hold p_m times the Schur complement, zero on the kept block, so
-    each graph adds p_m times its own kept entries and finishes in one
-    ``bareiss`` of those few rows.  By Sylvester's identity that
-    determinant is p_m^(k-1) times the whole one for k rows, and the
-    minor p_m^(k-2) times the whole minor; both divisions must be exact.
+    shared block only.  Each graph adds its own kept entries to a fork of
+    that state (the last to the state itself) and continues the chain to
+    its minor and determinant, pivoting any shared rows left when that
+    block ran out of nonzero entries too.  Graphs that share nothing, a
+    lone one among them, are each eliminated whole.
 
     Connectivity is not required: a disconnected balanced graph has
     every cofactor 0, so both sides are 0 and it counts 0.
@@ -462,7 +473,6 @@ def root_free_counts(graphs: Sequence[DirectedMultigraph]) -> list[int]:
         for i in map(pos.get, g.vertices):
             rows[i][zi] = rows[i].get(zi, 0) + 1
         bordered.append((g, last, rows))
-    p, live, tau = 1, {}, {}
     if shared:
         # the shared rows in full, and the kept rows' shared columns
         e = _Elimination(
@@ -470,30 +480,17 @@ def root_free_counts(graphs: Sequence[DirectedMultigraph]) -> list[int]:
              for i, row in enumerate(bordered[0][2])]
         )
         e.run(range(s, len(pos)))
-        p, live, tau = e.piv[-1], e.remaining(), e.tau
-    pivot_cols = set(tau.values())
     counts = []
-    for g, last, rows in bordered:
-        mine = sorted(map(pos.get, g.vertices))
-        mine.append(mine.pop(mine.index(pos[last])))
-        order = [i for i in mine if i not in tau]
-        where = {j: t for t, j in enumerate(j for j in mine if j not in pivot_cols)}
-        finish = []
-        for i in order:
-            row = {where[j]: x for j, x in live.get(i, {}).items()}
-            if i >= s:
-                own = {where[j]: p * x for j, x in rows[i].items() if j >= s}
-                if row:
-                    own = {j: row.get(j, 0) + own.get(j, 0) for j in row.keys() | own.keys()}
-                row = own
-            finish.append(row)
-        minor, det = bareiss(finish)
-        sign = _sign({**tau, **dict(zip(order, where))})
-        scale = p ** (len(finish) - 1)
-        count, low = divmod(sign * minor * p, scale)
-        total, off = divmod(sign * det, scale)
+    for k, (g, last, rows) in enumerate(bordered):
+        if shared:
+            f = e.fork() if k < len(rest) else e
+            for i in range(s, len(pos)):
+                f.add(i, {j: x for j, x in rows[i].items() if j >= s})
+        else:
+            f = _Elimination(rows)
         n = len(g.vertices)
-        if low or off or total != n * count:
+        count, total = f.minor_and_det(pos[last], n)
+        if total != n * count:
             raise IdentityViolation(
                 "root-dependent counts on a balanced graph: "
                 f"N({last})={count} but the sum over roots is "

@@ -88,16 +88,16 @@ def _cycle13() -> str:
     return document_text(DirectedMultigraph(vs, es))
 
 
-def _corrupt_bareiss(monkeypatch, corrupted: int) -> None:
-    # 0 corrupts the leading minor N(0), 1 the bordered determinant
-    real = spanning.bareiss
+def _corrupt_minor_and_det(monkeypatch, corrupted: int) -> None:
+    # 0 corrupts the minor N(z), 1 the bordered determinant
+    real = spanning._Elimination.minor_and_det
 
-    def off_by_one(rows):
-        pair = list(real(rows))
+    def off_by_one(self, last, n):
+        pair = list(real(self, last, n))
         pair[corrupted] += 1
         return tuple(pair)
 
-    monkeypatch.setattr(spanning, "bareiss", off_by_one)
+    monkeypatch.setattr(spanning._Elimination, "minor_and_det", off_by_one)
 
 
 def run(capsys, argv):
@@ -123,10 +123,10 @@ def test_count_single_method_and_root(capsys, lens_file):
 
 
 def test_count_by_enumeration_takes_no_determinant(capsys, lens_file, monkeypatch):
-    def refuse(rows):
+    def refuse(self, last, n):
         raise AssertionError("a determinant was taken")
 
-    monkeypatch.setattr(spanning, "bareiss", refuse)
+    monkeypatch.setattr(spanning._Elimination, "minor_and_det", refuse)
     code, out, _ = run(capsys, ["count", lens_file, "--method", "enum"])
     assert (code, out) == (0, "enum=20\n")
 
@@ -134,7 +134,7 @@ def test_count_by_enumeration_takes_no_determinant(capsys, lens_file, monkeypatc
 def test_count_certificate_mismatch_is_identity_violation(
     capsys, lens_file, monkeypatch
 ):
-    _corrupt_bareiss(monkeypatch, 1)
+    _corrupt_minor_and_det(monkeypatch, 1)
     code, out, err = run(capsys, ["count", lens_file, "--method", "det"])
     assert (code, out) == (1, "")
     assert err.startswith("identity violated: root-dependent counts")
@@ -614,15 +614,14 @@ def test_skein_and_subdivide_check_exit_1_on_a_corrupted_shared_state(
     g = random_balanced_graph(random.Random(46), min_vertices=6, max_vertices=6)
     path = tmp_path / "six.json"
     path.write_text(document_text(g), encoding="utf-8")
-    real = spanning._Elimination.remaining
+    real = spanning._Elimination.fork
 
     def off_by_one(self):
-        live = real(self)
-        row = next(row for row in live.values() if row)
+        row = next(self.a[i] for i in sorted(self.live) if self.a[i])
         row[next(iter(row))] += 1
-        return live
+        return real(self)
 
-    monkeypatch.setattr(spanning._Elimination, "remaining", off_by_one)
+    monkeypatch.setattr(spanning._Elimination, "fork", off_by_one)
     ei, ej = g.edges[0].id, g.edges[1].id
     for argv in (["skein", str(path), "--edge-i", ei, "--edge-j", ej],
                  ["subdivide-check", str(path), "--edge", ei]):
@@ -879,7 +878,7 @@ EXIT_CODES = {
     "IdentityViolation": (
         lambda m: map_text(m, basepoint="e23"),
         ["count", "--method", "det"],
-        lambda monkeypatch: _corrupt_bareiss(monkeypatch, 0),
+        lambda monkeypatch: _corrupt_minor_and_det(monkeypatch, 0),
         1,
         "identity violated:",
     ),

@@ -519,16 +519,16 @@ def test_certificate_rejects_a_corrupted_determinant(
     monkeypatch, lens_graph, corrupted
 ):
     # 0 corrupts the leading minor N(0), 1 the bordered determinant
-    real = spanning.bareiss
+    real = spanning._Elimination.minor_and_det
     calls = []
 
-    def off_by_one(rows):
-        calls.append(len(rows))
-        pair = list(real(rows))
+    def off_by_one(self, last, n):
+        calls.append(n)
+        pair = list(real(self, last, n))
         pair[corrupted] += 1
         return tuple(pair)
 
-    monkeypatch.setattr(spanning, "bareiss", off_by_one)
+    monkeypatch.setattr(spanning._Elimination, "minor_and_det", off_by_one)
     with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
         balanced_count(lens_graph)
     assert calls == [3]
@@ -557,16 +557,16 @@ def _alone(graphs) -> list[int]:
 
 
 def _shared_pivots(monkeypatch) -> list[tuple[int, bool]]:
-    """Records, for each shared elimination, its pivot count and whether
-    any pivot was off the diagonal."""
+    """Records, for each fork of a shared elimination, its pivot count and
+    whether any pivot was off the diagonal."""
     seen = []
-    real = spanning._Elimination.remaining
+    real = spanning._Elimination.fork
 
-    def remaining(self):
+    def fork(self):
         seen.append((len(self.piv) - 1, any(r != c for r, c in self.tau.items())))
         return real(self)
 
-    monkeypatch.setattr(spanning._Elimination, "remaining", remaining)
+    monkeypatch.setattr(spanning._Elimination, "fork", fork)
     return seen
 
 
@@ -659,48 +659,37 @@ def test_shared_counts_refuse_any_unbalanced_graph(make_graph):
         root_free_counts([g, lopsided])
 
 
+def test_a_fork_continues_the_chain_and_leaves_its_source_as_it_was():
+    rng = random.Random(48)
+    for density in (0.3, 0.6, 1.0) * 20:
+        rows = _random_rows(rng, 8, density)
+        # other entries in the kept block, rows and columns 5-7
+        changed = [row[:5] + [x + rng.randint(-2, 2) for x in row[5:]] for row in rows]
+        changed[:5] = rows[:5]
+        e = spanning._Elimination(rows)
+        e.run(range(5, 8))
+        state = repr((e.a, e.cols, e.live, e.level, e.piv, e.tau))
+        f = e.fork()
+        for i in range(5, 8):
+            f.add(i, {j: changed[i][j] - rows[i][j] for j in range(5, 8)})
+        assert f.minor_and_det(7, 8) == minor_and_det_by_fractions(changed)
+        assert repr((e.a, e.cols, e.live, e.level, e.piv, e.tau)) == state
+        assert e.minor_and_det(7, 8) == minor_and_det_by_fractions(rows)
+
+
 def test_a_corrupted_shared_state_is_an_identity_violation(monkeypatch):
     g = random_balanced_graph(random.Random(46), min_vertices=6, max_vertices=6)
     ei, ej = g.edges[0].id, g.edges[1].id
     graphs = [g, resolve_G1(g, ei, ej), resolve_G2(g, ei, ej)]
-    real = spanning._Elimination.remaining
+    real = spanning._Elimination.fork
 
     def off_by_one(self):
-        live = real(self)
-        row = next(row for row in live.values() if row)
-        j = next(iter(row))
-        row[j] += 1
-        return live
+        row = next(self.a[i] for i in sorted(self.live) if self.a[i])
+        row[next(iter(row))] += 1
+        return real(self)
 
-    monkeypatch.setattr(spanning._Elimination, "remaining", off_by_one)
+    monkeypatch.setattr(spanning._Elimination, "fork", off_by_one)
     with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
         root_free_counts(graphs)
     with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
         root_free_counts([g, subdivide_edge(g, ei)])
-
-
-@pytest.mark.parametrize("corrupted", [0, 1])
-def test_a_finish_off_by_one_is_an_identity_violation(monkeypatch, corrupted):
-    # the finish's minor and determinant are p^(k-2) and p^(k-1) times the
-    # whole ones; off by one, they leave a remainder, not a wrong count
-    g = random_balanced_graph(random.Random(46), min_vertices=6, max_vertices=6)
-    graphs = [g, subdivide_edge(g, g.edges[0].id)]
-    real = spanning.bareiss
-    scales = []
-
-    def off_by_one(rows):
-        pair = list(real(rows))
-        pair[corrupted] += 1
-        return tuple(pair)
-
-    real_remaining = spanning._Elimination.remaining
-
-    def remaining(self):
-        scales.append(self.piv[-1])
-        return real_remaining(self)
-
-    monkeypatch.setattr(spanning, "bareiss", off_by_one)
-    monkeypatch.setattr(spanning._Elimination, "remaining", remaining)
-    with pytest.raises(IdentityViolation, match="root-dependent counts on a balanced graph"):
-        root_free_counts(graphs)
-    assert abs(scales[0]) > 1
